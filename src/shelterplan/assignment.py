@@ -11,7 +11,7 @@ an exact line search on the convex objective).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,7 +51,8 @@ class AssignmentResult:
     pair, zero where the pair is unreachable. aon_trees keeps the
     shortest-path predecessor maps used by each flow update (origin id ->
     node id -> incoming link id), which implicitly encode the route sets
-    the loading used; len(aon_trees) == iterations.
+    the loading used; len(aon_trees) == iterations. aon_trees and
+    objective_history are in-memory diagnostics and are not serialized.
     """
 
     link_flows: dict[str, float]
@@ -60,8 +61,8 @@ class AssignmentResult:
     relative_gap: float
     iterations: int
     converged: bool
-    aon_trees: tuple[dict[str, dict[str, str]], ...] = ()
-    objective_history: tuple[float, ...] = ()
+    aon_trees: tuple[dict[str, dict[str, str]], ...] = field(default=(), metadata={"json": False})
+    objective_history: tuple[float, ...] = field(default=(), metadata={"json": False})
 
 
 def relative_gap(total_current: float, total_auxiliary: float) -> float:

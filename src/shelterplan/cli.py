@@ -19,13 +19,11 @@ from .ga import ga_solve, history_to_csv
 from .io import (
     ProblemLoadError,
     canonical_json,
-    assignment_result_to_dict,
     enumeration_report_to_csv,
-    enumeration_report_to_dict,
     load_network,
     load_problem,
     load_shelters,
-    solve_report_to_dict,
+    to_jsonable,
     write_text_atomic,
 )
 from .network import validate_network
@@ -90,7 +88,7 @@ def _cmd_assign(args: argparse.Namespace) -> int:
         bundle.impedance,
         bundle.assignment,
     )
-    _emit(canonical_json(assignment_result_to_dict(result)), args.out)
+    _emit(canonical_json(to_jsonable(result)), args.out)
     return EXIT_OK
 
 
@@ -107,9 +105,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         bundle.penalties,
         ga_config,
         bundle.assignment,
-        workers=args.workers,
     )
-    _emit(canonical_json(solve_report_to_dict(report)), args.out)
+    _emit(canonical_json(to_jsonable(report)), args.out)
     return EXIT_OK
 
 
@@ -122,21 +119,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         bundle.impedance,
         bundle.penalties,
         bundle.assignment,
-        workers=args.workers,
     )
     if args.format == "csv":
         _emit(enumeration_report_to_csv(report), args.out)
     else:
-        _emit(canonical_json(enumeration_report_to_dict(report)), args.out)
+        _emit(canonical_json(to_jsonable(report)), args.out)
     return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     bundle = _load_bundle(args)
     seed = args.seed if args.seed is not None else bundle.ga.rng_seed
-    rows = run_scenarios(bundle, seed, workers=args.workers)
+    rows = run_scenarios(bundle, seed)
     _emit(render_report(rows, args.format), args.out)
-    failed = [row for row in rows if row.error]
+    failed = [row for row in rows if row.error is not None]
     if failed:
         for row in failed:
             print(f"scenario {row.scenario!r} failed: {row.error}", file=sys.stderr)
@@ -171,14 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="full bi-level solve for one scenario")
     _common_problem_args(p_solve)
     p_solve.add_argument("--seed", type=int, default=None, help="override ga.rng_seed")
-    p_solve.add_argument("--workers", type=int, default=None)
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(handler=_cmd_solve)
 
     p_enum = sub.add_parser("enumerate", help="exhaustively evaluate every shelter subset")
     _common_problem_args(p_enum)
     p_enum.add_argument("--format", choices=["json", "csv"], default="json")
-    p_enum.add_argument("--workers", type=int, default=None)
     p_enum.add_argument("--out", default=None)
     p_enum.set_defaults(handler=_cmd_enumerate)
 
@@ -186,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_problem_args(p_run, scenarios="many")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(handler=_cmd_run)
 

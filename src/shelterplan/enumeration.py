@@ -6,7 +6,6 @@ fitness evaluation verbatim so the two are comparable term by term.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +41,12 @@ class EnumerationReport:
     evaluations: tuple[SubsetEvaluation, ...]
     best: int
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.best < len(self.evaluations):
+            raise ValueError(
+                f"best index {self.best} is outside the {len(self.evaluations)} evaluations"
+            )
+
     @property
     def best_evaluation(self) -> SubsetEvaluation:
         return self.evaluations[self.best]
@@ -58,8 +63,6 @@ def exhaustive_solve(
     impedance: ImpedanceParameter,
     penalties: PenaltyConfig,
     assignment: AssignmentConfig,
-    *,
-    workers: Optional[int] = None,
 ) -> EnumerationReport:
     """Evaluate every non-empty shelter subset with the GA's own fitness.
 
@@ -74,13 +77,8 @@ def exhaustive_solve(
             f"exhaustive_solve is limited to {MAX_CANDIDATES} candidates"
         )
     context = EvaluationContext(network, shelters, demand, impedance, penalties, assignment)
-    masks = range(1, 2 ** count)
-    selections = [_selection_for_mask(mask, count) for mask in masks]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluations = list(pool.map(lambda s: evaluate_individual(s, context), selections))
-    else:
-        evaluations = [evaluate_individual(s, context) for s in selections]
+    selections = [_selection_for_mask(mask, count) for mask in range(1, 2 ** count)]
+    evaluations = (evaluate_individual(s, context) for s in selections)  # one alive at a time
     rows = tuple(
         SubsetEvaluation(
             selection=selection,

@@ -4,14 +4,13 @@ Chromosomes are binary selection vectors; fitness is the penalized total
 evacuation time at the lower-level equilibrium the selection induces.
 Selection is linear-rank, crossover single-point, mutation single-bit (or
 per-bit when configured), with elitism. Runs are deterministic given the
-seed; fitness evaluations are cached by chromosome and may run in a thread
-pool without affecting results.
+seed; each distinct chromosome is evaluated once, and its evaluation record
+serves both the cache and the evaluation log.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -158,63 +157,31 @@ class SolveReport:
     history: tuple[GenerationStats, ...]
     assignment_diagnostics: dict[str, float | int | bool]
     evaluation_log: tuple[EvaluationRecord, ...]
-    best_assignment: Optional[AssignmentResult]
-
-
-@dataclass(frozen=True)
-class _CachedFitness:
-    penalized_objective: float
-    feasible: bool
-    total_excess: float
-    total_evacuation_time: Optional[float]
-    converged: Optional[bool]
-    note: str
-
-
-def _cache_entry(evaluation: Evaluation) -> _CachedFitness:
-    result = evaluation.assignment
-    return _CachedFitness(
-        penalized_objective=evaluation.penalized_objective,
-        feasible=evaluation.feasible,
-        total_excess=evaluation.shelter_excess_total + evaluation.link_excess_total,
-        total_evacuation_time=evaluation.total_evacuation_time,
-        converged=result.converged if result is not None else None,
-        note=evaluation.note,
-    )
+    best_assignment: Optional[AssignmentResult] = None
 
 
 def _evaluate_population(
     population: list[tuple[int, ...]],
     context: EvaluationContext,
-    cache: dict[tuple[int, ...], _CachedFitness],
-    log: list[EvaluationRecord],
-    workers: Optional[int],
-) -> list[_CachedFitness]:
-    fresh: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    cache: dict[tuple[int, ...], EvaluationRecord],
+) -> list[EvaluationRecord]:
+    """Records for the population, evaluating each chromosome on first sight.
+
+    The cache keeps insertion order, so its values are the evaluation log
+    in first-encounter order.
+    """
     for bits in population:
-        if bits not in cache and bits not in seen:
-            seen.add(bits)
-            fresh.append(bits)
-    if fresh:
-        if workers and workers > 1 and len(fresh) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                evaluations = list(pool.map(lambda b: evaluate_individual(b, context), fresh))
-        else:
-            evaluations = [evaluate_individual(bits, context) for bits in fresh]
-        for bits, evaluation in zip(fresh, evaluations):
-            entry = _cache_entry(evaluation)
-            cache[bits] = entry
-            log.append(
-                EvaluationRecord(
-                    selection=selection_to_string(bits),
-                    penalized_objective=entry.penalized_objective,
-                    feasible=entry.feasible,
-                    total_excess=entry.total_excess,
-                    total_evacuation_time=entry.total_evacuation_time,
-                    converged=entry.converged,
-                    note=entry.note,
-                )
+        if bits not in cache:
+            evaluation = evaluate_individual(bits, context)
+            result = evaluation.assignment
+            cache[bits] = EvaluationRecord(
+                selection=selection_to_string(bits),
+                penalized_objective=evaluation.penalized_objective,
+                feasible=evaluation.feasible,
+                total_excess=evaluation.shelter_excess_total + evaluation.link_excess_total,
+                total_evacuation_time=evaluation.total_evacuation_time,
+                converged=result.converged if result is not None else None,
+                note=evaluation.note,
             )
     return [cache[bits] for bits in population]
 
@@ -269,16 +236,12 @@ def ga_solve(
     penalties: PenaltyConfig,
     ga: GAConfig,
     assignment: AssignmentConfig,
-    *,
-    workers: Optional[int] = None,
 ) -> SolveReport:
     """Run the bi-level search and return the best selection found.
 
     Deterministic given ga.rng_seed: all randomness happens in the
-    sequential generation loop, and the optional thread pool only changes
-    how fitness evaluations are scheduled, never their values or order of
-    record. Elitism keeps the incumbent, so per-generation best fitness is
-    non-increasing.
+    generation loop. Elitism keeps the incumbent, so per-generation best
+    fitness is non-increasing.
     """
     findings = validate_network(network, shelters)
     if findings:
@@ -293,14 +256,13 @@ def ga_solve(
     ]
     population[0] = (1,) * length  # guarantee the all-open individual is tried
 
-    cache: dict[tuple[int, ...], _CachedFitness] = {}
-    log: list[EvaluationRecord] = []
+    cache: dict[tuple[int, ...], EvaluationRecord] = {}
     history: list[GenerationStats] = []
     best_bits: Optional[tuple[int, ...]] = None
     best_fitness = math.inf
 
     for generation in range(ga.max_generations):
-        entries = _evaluate_population(population, context, cache, log, workers)
+        entries = _evaluate_population(population, context, cache)
         fitness = [e.penalized_objective for e in entries]
         gen_best = min(range(len(population)), key=lambda i: (fitness[i], population[i]))
         history.append(
@@ -340,7 +302,7 @@ def ga_solve(
         shelter_attraction=attraction,
         history=tuple(history),
         assignment_diagnostics=diagnostics,
-        evaluation_log=tuple(log),
+        evaluation_log=tuple(cache.values()),
         best_assignment=final.assignment,
     )
 

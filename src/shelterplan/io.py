@@ -6,17 +6,36 @@ Formats:
   scenario  — JSON {"name": ..., "productions": {origin_id: vehicles}}
   config    — flat text, dotted keys (ga.population_size = 20)
 
+Results (AssignmentResult, SolveReport, EnumerationReport, study rows) go
+to JSON through one codec, to_jsonable / from_jsonable, driven by each
+dataclass's fields and their annotations:
+  dataclass                 — object keyed by field name; fields marked
+                              metadata={"json": False} are not written
+  tuple[int, ...]           — a selection, written as a 0/1 string ("0101")
+  tuple[T, ...]             — list
+  dict[tuple[str, str], V]  — object nested by the first key (origin ->
+                              shelter -> value)
+  dict[str, V]              — object
+  Optional[T]               — null or T; other unions pass through as is
+  float, int, bool          — coerced to the annotated type on read
+A key missing on read takes the field's default; canonical_json writes
+sorted keys, so equal records give equal bytes. CSV formats are separate.
+
 All writes are whole-file atomic (write to a temp file, then rename).
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import io as _io
 import json
 import math
 import os
 import tempfile
+import types
+import typing
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +43,7 @@ from typing import Mapping, Optional, Sequence
 
 from .assignment import AssignmentResult
 from .enumeration import EnumerationReport, SubsetEvaluation
-from .ga import EvaluationRecord, GenerationStats, SolveReport
+from .ga import SolveReport
 from .network import Link, Network, Node, validate_network
 from .problem import (
     AssignmentConfig,
@@ -332,146 +351,89 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-def assignment_result_to_dict(result: AssignmentResult) -> dict:
-    od: dict[str, dict[str, float]] = {}
-    for (origin, shelter), flow in result.od_flows.items():
-        od.setdefault(origin, {})[shelter] = flow
-    return {
-        "link_flows": dict(result.link_flows),
-        "od_flows": od,
-        "link_times": dict(result.link_times),
-        "relative_gap": result.relative_gap,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }
-
-
-def assignment_result_from_dict(doc: Mapping) -> AssignmentResult:
-    od_flows = {
-        (origin, shelter): float(flow)
-        for origin, row in doc["od_flows"].items()
-        for shelter, flow in row.items()
-    }
-    return AssignmentResult(
-        link_flows={k: float(v) for k, v in doc["link_flows"].items()},
-        od_flows=od_flows,
-        link_times={k: float(v) for k, v in doc["link_times"].items()},
-        relative_gap=float(doc["relative_gap"]),
-        iterations=int(doc["iterations"]),
-        converged=bool(doc["converged"]),
+@functools.cache
+def _json_fields(cls: type) -> tuple[tuple[str, object], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name])
+        for f in dataclasses.fields(cls)
+        if f.metadata.get("json", True)
     )
 
 
-def solve_report_to_dict(report: SolveReport) -> dict:
-    return {
-        "best_selection": selection_to_string(report.best_selection),
-        "best_penalized_objective": report.best_penalized_objective,
-        "best_total_evacuation_time": report.best_total_evacuation_time,
-        "feasible": report.feasible,
-        "shelter_attraction": dict(report.shelter_attraction),
-        "history": [
-            {
-                "generation": h.generation,
-                "best_fitness": h.best_fitness,
-                "mean_fitness": h.mean_fitness,
-                "feasible_count": h.feasible_count,
+def _optional_inner(tp: object) -> object:
+    """T for Optional[T]; None for any other union (its values pass through)."""
+    args = [a for a in typing.get_args(tp) if a is not type(None)]
+    return args[0] if len(args) == 1 else None
+
+
+def to_jsonable(value: object, tp: object = None) -> object:
+    """`value` as JSON-ready data, following its annotation `tp`.
+
+    Called on a result dataclass, `tp` defaults to its type; the module
+    docstring lists the format rules.
+    """
+    if value is None:
+        return None
+    if tp is None:
+        tp = type(value)
+    if dataclasses.is_dataclass(tp):
+        return {name: to_jsonable(getattr(value, name), hint) for name, hint in _json_fields(tp)}
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        inner = _optional_inner(tp)
+        return value if inner is None else to_jsonable(value, inner)
+    if origin is tuple:
+        if args[0] is int:
+            return selection_to_string(value)
+        return [to_jsonable(item, args[0]) for item in value]
+    if origin is dict:
+        key, item = args
+        if typing.get_origin(key) is tuple:
+            nested: dict[str, dict] = {}
+            for (outer, inner_key), v in value.items():
+                nested.setdefault(outer, {})[inner_key] = to_jsonable(v, item)
+            return nested
+        return {k: to_jsonable(v, item) for k, v in value.items()}
+    return value
+
+
+def from_jsonable(tp: object, doc: object) -> object:
+    """Rebuild a value of annotation `tp` (a result dataclass, say) from
+    the output of to_jsonable."""
+    if doc is None:
+        return None
+    if dataclasses.is_dataclass(tp):
+        return tp(**{
+            name: from_jsonable(hint, doc[name]) for name, hint in _json_fields(tp) if name in doc
+        })
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        inner = _optional_inner(tp)
+        return doc if inner is None else from_jsonable(inner, doc)
+    if origin is tuple:
+        if args[0] is int:
+            return selection_from_string(doc)
+        return tuple(from_jsonable(args[0], item) for item in doc)
+    if origin is dict:
+        key, item = args
+        if typing.get_origin(key) is tuple:
+            return {
+                (outer, inner_key): from_jsonable(item, v)
+                for outer, row in doc.items()
+                for inner_key, v in row.items()
             }
-            for h in report.history
-        ],
-        "assignment_diagnostics": dict(report.assignment_diagnostics),
-        "evaluation_log": [
-            {
-                "selection": r.selection,
-                "penalized_objective": r.penalized_objective,
-                "feasible": r.feasible,
-                "total_excess": r.total_excess,
-                "total_evacuation_time": r.total_evacuation_time,
-                "converged": r.converged,
-                "note": r.note,
-            }
-            for r in report.evaluation_log
-        ],
-        "best_assignment": (
-            assignment_result_to_dict(report.best_assignment)
-            if report.best_assignment is not None
-            else None
-        ),
-    }
+        return {k: from_jsonable(item, v) for k, v in doc.items()}
+    if tp in (float, int, bool):
+        return tp(doc)
+    return doc
 
 
-def solve_report_from_dict(doc: Mapping) -> SolveReport:
-    return SolveReport(
-        best_selection=selection_from_string(doc["best_selection"]),
-        best_penalized_objective=float(doc["best_penalized_objective"]),
-        best_total_evacuation_time=float(doc["best_total_evacuation_time"]),
-        feasible=bool(doc["feasible"]),
-        shelter_attraction={k: float(v) for k, v in doc["shelter_attraction"].items()},
-        history=tuple(
-            GenerationStats(
-                generation=int(h["generation"]),
-                best_fitness=float(h["best_fitness"]),
-                mean_fitness=float(h["mean_fitness"]),
-                feasible_count=int(h["feasible_count"]),
-            )
-            for h in doc["history"]
-        ),
-        assignment_diagnostics=dict(doc["assignment_diagnostics"]),
-        evaluation_log=tuple(
-            EvaluationRecord(
-                selection=r["selection"],
-                penalized_objective=float(r["penalized_objective"]),
-                feasible=bool(r["feasible"]),
-                total_excess=float(r["total_excess"]),
-                total_evacuation_time=(
-                    float(r["total_evacuation_time"])
-                    if r["total_evacuation_time"] is not None
-                    else None
-                ),
-                converged=r["converged"],
-                note=r.get("note", ""),
-            )
-            for r in doc["evaluation_log"]
-        ),
-        best_assignment=(
-            assignment_result_from_dict(doc["best_assignment"])
-            if doc.get("best_assignment") is not None
-            else None
-        ),
-    )
-
-
-def enumeration_report_to_dict(report: EnumerationReport) -> dict:
-    return {
-        "best": report.best,
-        "evaluations": [
-            {
-                "selection": selection_to_string(e.selection),
-                "penalized_objective": e.penalized_objective,
-                "feasible": e.feasible,
-                "total_evacuation_time": e.total_evacuation_time,
-            }
-            for e in report.evaluations
-        ],
-    }
-
-
-def enumeration_report_from_dict(doc: Mapping) -> EnumerationReport:
-    return EnumerationReport(
-        evaluations=tuple(
-            SubsetEvaluation(
-                selection=selection_from_string(e["selection"]),
-                penalized_objective=float(e["penalized_objective"]),
-                feasible=bool(e["feasible"]),
-                total_evacuation_time=(
-                    float(e["total_evacuation_time"])
-                    if e["total_evacuation_time"] is not None
-                    else None
-                ),
-            )
-            for e in doc["evaluations"]
-        ),
-        best=int(doc["best"]),
-    )
+# per-type names, for callers that import them
+assignment_result_to_dict = solve_report_to_dict = enumeration_report_to_dict = to_jsonable
+assignment_result_from_dict = functools.partial(from_jsonable, AssignmentResult)
+solve_report_from_dict = functools.partial(from_jsonable, SolveReport)
+enumeration_report_from_dict = functools.partial(from_jsonable, EnumerationReport)
 
 
 def enumeration_report_to_csv(report: EnumerationReport) -> str:
@@ -490,7 +452,7 @@ def enumeration_report_from_csv(text: str) -> EnumerationReport:
     if not lines or lines[0] != "selection,penalized_objective,feasible,total_evacuation_time,is_best":
         raise ValueError("unrecognized enumeration CSV header")
     rows = []
-    best = 0
+    best = []
     for i, line in enumerate(lines[1:]):
         selection, objective, feasible, time_text, is_best = line.split(",")
         rows.append(
@@ -502,5 +464,7 @@ def enumeration_report_from_csv(text: str) -> EnumerationReport:
             )
         )
         if is_best == "True":
-            best = i
-    return EnumerationReport(evaluations=tuple(rows), best=best)
+            best.append(i)
+    if len(best) != 1:
+        raise ValueError(f"enumeration CSV needs exactly one is_best=True row, found {len(best)}")
+    return EnumerationReport(evaluations=tuple(rows), best=best[0])

@@ -14,14 +14,13 @@ import io as _io
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .assignment import AssignmentResult
 from .ga import SolveReport, ga_solve
-from .io import ProblemBundle, canonical_json
+from .io import ProblemBundle, canonical_json, from_jsonable, to_jsonable
 from .network import Network, shortest_path_tree
 from .problem import (
     DemandScenario,
@@ -105,27 +104,35 @@ class ScenarioResultRow:
                     raise ValueError(f"unselected shelter {sid!r} has nonzero attraction {rate}")
 
 
+def _error_row(scenario: DemandScenario, shelters: ShelterSet, error: str) -> ScenarioResultRow:
+    """The row of a scenario that failed: nothing selected, nothing attracted."""
+    order = sorted(c.node_id for c in shelters.candidates)
+    return ScenarioResultRow(
+        scenario=scenario.name,
+        attraction={sid: 0.0 for sid in order},
+        total_time_veh_min=0.0,
+        total_time_veh_h=0.0,
+        clearance_min=0.0,
+        selection=(0,) * len(order),
+        feasible=False,
+        error=error,
+    )
+
+
 def _row_from_report(
     scenario: DemandScenario,
     shelters: ShelterSet,
     network: Network,
     report: SolveReport,
 ) -> ScenarioResultRow:
+    if report.best_assignment is None:
+        return _error_row(
+            scenario,
+            shelters,
+            "no evaluable selection (every choice left some origin without a shelter)",
+        )
     order = sorted(c.node_id for c in shelters.candidates)
     by_id = {c.node_id: bit for c, bit in zip(shelters.candidates, report.best_selection)}
-    selection = tuple(by_id[sid] for sid in order)
-    attraction = {sid: report.shelter_attraction.get(sid, 0.0) for sid in order}
-    if report.best_assignment is None:
-        return ScenarioResultRow(
-            scenario=scenario.name,
-            attraction={sid: 0.0 for sid in order},
-            total_time_veh_min=0.0,
-            total_time_veh_h=0.0,
-            clearance_min=0.0,
-            selection=selection,
-            feasible=False,
-            error="no evaluable selection (every choice left some origin without a shelter)",
-        )
     clearance = clearance_time(
         report.best_assignment,
         network,
@@ -135,11 +142,11 @@ def _row_from_report(
     total_min = report.best_total_evacuation_time
     return ScenarioResultRow(
         scenario=scenario.name,
-        attraction=attraction,
+        attraction={sid: report.shelter_attraction.get(sid, 0.0) for sid in order},
         total_time_veh_min=total_min,
         total_time_veh_h=total_min / 60.0,
         clearance_min=clearance,
-        selection=selection,
+        selection=tuple(by_id[sid] for sid in order),
         feasible=report.feasible,
     )
 
@@ -148,20 +155,18 @@ def run_scenarios(
     bundle: ProblemBundle,
     seed: int,
     *,
-    workers: Optional[int] = None,
     collect_reports: Optional[list[SolveReport]] = None,
 ) -> list[ScenarioResultRow]:
     """One independent bi-level solve per scenario, rows in input order.
 
     Scenario k runs with rng seed `seed + k`, so a study is reproducible
-    from a single seed. A failing scenario yields a row carrying the error
-    while the remaining scenarios still run. `collect_reports`, when
-    given, receives the full SolveReport per scenario in the same order.
+    from a single seed. A failing scenario yields a row whose error names
+    the exception type and message, while the remaining scenarios still
+    run. `collect_reports`, when given, receives the full SolveReport per
+    scenario in the same order (None for a scenario that raised).
     """
-
-    def solve_one(index_scenario: tuple[int, DemandScenario]):
-        index, scenario = index_scenario
-        ga_config = replace(bundle.ga, rng_seed=seed + index)
+    rows = []
+    for index, scenario in enumerate(bundle.scenarios):
         try:
             report = ga_solve(
                 bundle.network,
@@ -169,33 +174,17 @@ def run_scenarios(
                 scenario,
                 bundle.impedance,
                 bundle.penalties,
-                ga_config,
+                replace(bundle.ga, rng_seed=seed + index),
                 bundle.assignment,
             )
-            return _row_from_report(scenario, bundle.shelters, bundle.network, report), report
+            row = _row_from_report(scenario, bundle.shelters, bundle.network, report)
         except Exception as exc:  # the row records the failure
-            order = sorted(c.node_id for c in bundle.shelters.candidates)
-            row = ScenarioResultRow(
-                scenario=scenario.name,
-                attraction={sid: 0.0 for sid in order},
-                total_time_veh_min=0.0,
-                total_time_veh_h=0.0,
-                clearance_min=0.0,
-                selection=(0,) * len(order),
-                feasible=False,
-                error=str(exc),
-            )
-            return row, None
-
-    jobs = list(enumerate(bundle.scenarios))
-    if workers and workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(solve_one, jobs))
-    else:
-        outcomes = [solve_one(job) for job in jobs]
-    if collect_reports is not None:
-        collect_reports.extend(report for _, report in outcomes)
-    return [row for row, _ in outcomes]
+            report = None
+            row = _error_row(scenario, bundle.shelters, f"{type(exc).__name__}: {exc}")
+        rows.append(row)
+        if collect_reports is not None:
+            collect_reports.append(report)
+    return rows
 
 
 # ---- rendering -----------------------------------------------------------
@@ -208,32 +197,6 @@ def _fmt_quantity(value: float) -> str:
     if math.isfinite(value) and value == int(value):
         return str(int(value))
     return format(value, ".10g")
-
-
-def _row_to_flat_dict(row: ScenarioResultRow) -> dict:
-    return {
-        "scenario": row.scenario,
-        "attraction": dict(row.attraction),
-        "total_time_veh_min": row.total_time_veh_min,
-        "total_time_veh_h": row.total_time_veh_h,
-        "clearance_min": row.clearance_min,
-        "selection": selection_to_string(row.selection),
-        "feasible": row.feasible,
-        "error": row.error,
-    }
-
-
-def _row_from_flat_dict(doc: dict) -> ScenarioResultRow:
-    return ScenarioResultRow(
-        scenario=doc["scenario"],
-        attraction={k: float(v) for k, v in doc["attraction"].items()},
-        total_time_veh_min=float(doc["total_time_veh_min"]),
-        total_time_veh_h=float(doc["total_time_veh_h"]),
-        clearance_min=float(doc["clearance_min"]),
-        selection=selection_from_string(doc["selection"]),
-        feasible=bool(doc["feasible"]),
-        error=doc.get("error"),
-    )
 
 
 def render_report(rows: Sequence[ScenarioResultRow], format: str = "table") -> str:
@@ -253,7 +216,7 @@ def render_report(rows: Sequence[ScenarioResultRow], format: str = "table") -> s
             raise ValueError("all rows must cover the same shelters")
 
     if format == "json":
-        return canonical_json([_row_to_flat_dict(row) for row in rows])
+        return canonical_json([to_jsonable(row) for row in rows])
 
     if format == "csv":
         buffer = _io.StringIO()
@@ -312,8 +275,7 @@ def render_report(rows: Sequence[ScenarioResultRow], format: str = "table") -> s
 
 
 def rows_from_json(text: str) -> list[ScenarioResultRow]:
-    docs = json.loads(text)
-    return [_row_from_flat_dict(doc) for doc in docs]
+    return [from_jsonable(ScenarioResultRow, doc) for doc in json.loads(text)]
 
 
 def rows_from_csv(text: str) -> list[ScenarioResultRow]:

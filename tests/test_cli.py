@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from shelterplan.cli import main
+from shelterplan.cli import build_parser, main
 from shelterplan.io import (
     assignment_result_from_dict,
     enumeration_report_from_csv,
@@ -102,6 +103,22 @@ def test_solve_is_seed_deterministic(tmp_path):
     assert first.read_text() == second.read_text()
 
 
+def test_solver_subcommands_take_only_their_documented_options():
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    problem = ["--config", "--help", "--network", "--out", "--scenario", "--shelters", "-h"]
+    expected = {
+        "solve": problem + ["--seed"],
+        "enumerate": problem + ["--format"],
+        "run": problem + ["--format", "--seed"],
+    }
+    for name, options in expected.items():
+        found = [opt for action in subcommands[name]._actions for opt in action.option_strings]
+        assert sorted(found) == sorted(options), name
+
+
 def test_enumerate_json_and_csv(tmp_path):
     json_out = tmp_path / "enum.json"
     csv_out = tmp_path / "enum.csv"
@@ -156,3 +173,12 @@ def test_run_prints_table_to_stdout(capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert out.startswith("scenario") and "base" in out
+
+
+def test_run_exits_2_when_a_scenario_fails_with_an_empty_message(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("shelterplan.study.ga_solve", out_of_memory)
+    assert main(["run", *toy_args("--seed", "0")]) == 2
+    assert "failed: MemoryError" in capsys.readouterr().err

@@ -28,10 +28,10 @@ def symmetric_setup(demand=200.0, capacity=1000.0):
     return net, shelters, DemandScenario("t", {"o": demand})
 
 
-def run_exhaustive(net, shelters, demand, **kwargs):
+def run_exhaustive(net, shelters, demand):
     return exhaustive_solve(
         net, shelters, demand, ImpedanceParameter(1.0), PenaltyConfig(),
-        AssignmentConfig(step_rule="exact-line-search"), **kwargs
+        AssignmentConfig(step_rule="exact-line-search"),
     )
 
 
@@ -114,9 +114,3 @@ def test_exhaustive_never_loses_to_the_ga():
             <= ga_report.best_penalized_objective
         )
 
-
-def test_workers_do_not_change_the_report():
-    net, shelters, demand = symmetric_setup()
-    serial = run_exhaustive(net, shelters, demand)
-    threaded = run_exhaustive(net, shelters, demand, workers=4)
-    assert serial == threaded

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from shelterplan import ga as ga_module
 from shelterplan.assignment import AssignmentResult
 from shelterplan.ga import (
     EvaluationContext,
@@ -20,6 +21,7 @@ from shelterplan.problem import (
     ImpedanceParameter,
     PenaltyConfig,
     ShelterSet,
+    selection_to_string,
 )
 
 from conftest import load_instance, make_network
@@ -204,15 +206,22 @@ def test_seeded_runs_are_bit_identical():
     assert solve_report_to_dict(reports[0]) == solve_report_to_dict(reports[1])
 
 
-def test_parallel_evaluation_does_not_change_results():
-    bundle = load_instance("desk_a")
-    serial = ga_solve(bundle.network, bundle.shelters, bundle.scenarios[0],
-                      bundle.impedance, bundle.penalties, GAConfig(rng_seed=7),
-                      bundle.assignment)
-    threaded = ga_solve(bundle.network, bundle.shelters, bundle.scenarios[0],
-                        bundle.impedance, bundle.penalties, GAConfig(rng_seed=7),
-                        bundle.assignment, workers=4)
-    assert solve_report_to_dict(serial) == solve_report_to_dict(threaded)
+def test_cache_evaluates_each_distinct_chromosome_once(monkeypatch):
+    calls = []
+
+    def counted(selection, context):
+        calls.append(tuple(selection))
+        return evaluate_individual(selection, context)
+
+    monkeypatch.setattr(ga_module, "evaluate_individual", counted)
+    report = _desk_report(seed=7)
+    log = report.evaluation_log
+    # one call per log entry, plus the final re-evaluation of the best
+    assert len(calls) == len(log) + 1
+    assert len({r.selection for r in log}) == len(log)
+    assert [selection_to_string(c) for c in calls[:-1]] == [r.selection for r in log]
+    chromosomes = len(report.history) * GAConfig().population_size
+    assert len(log) < chromosomes  # the cache served repeats
 
 
 def test_per_generation_best_is_non_increasing():

@@ -310,3 +310,34 @@ def test_sentinel_fitness_survives_json():
     text = canonical_json(solve_report_to_dict(report))
     back = solve_report_from_dict(json.loads(text))
     assert canonical_json(solve_report_to_dict(back)) == text
+
+
+ENUMERATION_CSV_HEADER = "selection,penalized_objective,feasible,total_evacuation_time,is_best\n"
+
+
+def test_enumeration_csv_without_a_best_row_is_rejected():
+    # read naively, row 0 (objective 5.0) would pass as best while 1.0 exists
+    text = ENUMERATION_CSV_HEADER + "10,5.0,True,5.0,False\n01,1.0,True,1.0,False\n"
+    with pytest.raises(ValueError, match="exactly one is_best"):
+        enumeration_report_from_csv(text)
+
+
+def test_enumeration_csv_with_two_best_rows_is_rejected():
+    text = ENUMERATION_CSV_HEADER + "10,5.0,True,5.0,True\n01,1.0,True,1.0,True\n"
+    with pytest.raises(ValueError, match="exactly one is_best"):
+        enumeration_report_from_csv(text)
+
+
+def test_enumeration_json_best_outside_the_evaluations_is_rejected():
+    doc = {
+        "best": 7,
+        "evaluations": [
+            {"selection": "1", "penalized_objective": 1.0, "feasible": True,
+             "total_evacuation_time": 1.0},
+        ],
+    }
+    with pytest.raises(ValueError, match="best index 7"):
+        enumeration_report_from_dict(doc)
+    doc["best"] = -1
+    with pytest.raises(ValueError, match="best index -1"):
+        enumeration_report_from_dict(doc)

@@ -270,11 +270,6 @@ def test_rows_follow_scenario_order_and_are_deterministic():
     assert first == second
 
 
-def test_scenario_workers_do_not_change_rows():
-    bundle = double_scenario_bundle()
-    assert run_scenarios(bundle, seed=5) == run_scenarios(bundle, seed=5, workers=2)
-
-
 def test_attraction_sums_to_scenario_demand():
     bundle = double_scenario_bundle()
     for row, scenario in zip(run_scenarios(bundle, seed=1), bundle.scenarios):
@@ -311,3 +306,17 @@ def test_reports_can_be_collected():
     rows = run_scenarios(bundle, seed=2, collect_reports=reports)
     assert len(reports) == len(rows) == 2
     assert reports[0] is not None and reports[0].best_selection in {(1, 1), (1, 0), (0, 1)}
+
+
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError()  # an exception whose message is empty
+
+
+def test_failure_with_empty_message_stays_an_error_row(monkeypatch):
+    monkeypatch.setattr("shelterplan.study.ga_solve", _raise_memory_error)
+    reports = []
+    rows = run_scenarios(double_scenario_bundle(), seed=0, collect_reports=reports)
+    assert [row.error for row in rows] == ["MemoryError: "] * 2
+    assert reports == [None, None]
+    assert rows_from_csv(render_report(rows, "csv")) == rows
+    assert rows_from_json(render_report(rows, "json")) == rows
