@@ -2,10 +2,22 @@
 
 Evacuees distribute themselves over the open shelters by a logit model of
 travel times and take minimum-time routes; congestion feeds back through
-the BPR link times. The solver is the classic double-stage scheme: each
-iteration recomputes shortest-path costs, splits demand by logit, loads it
-all-or-nothing, and blends with the current flows (successive averages or
-an exact line search on the convex objective).
+the BPR link times. The solver is Evans' (1976) double-stage scheme, and
+each pass runs one array kernel:
+
+1. one shortest-path tree per open shelter, searched from the shelter
+   over the reversed graph: it gives every node's cost to that shelter
+   and its successor link toward it (on exact cost ties the lower link
+   id wins), so the origin x shelter cost matrix needs |open shelters|
+   searches, not |origins|;
+2. one logit split of that whole matrix;
+3. all-or-nothing loading of each shelter's column of the split onto
+   its tree, walking the tree from its far end back to the shelter;
+4. a blend with the current flows (successive averages or an exact line
+   search on the convex objective).
+
+`logit_distribution` (step 2) and `all_or_nothing` (steps 1 and 3) are
+the dict-keyed public forms of the same kernel.
 """
 
 from __future__ import annotations
@@ -48,11 +60,12 @@ class AssignmentResult:
     """Converged (or iteration-capped) state of the lower-level solve.
 
     od_flows holds one entry per (positive-production origin, open shelter)
-    pair, zero where the pair is unreachable. aon_trees keeps the
-    shortest-path predecessor maps used by each flow update (origin id ->
-    node id -> incoming link id), which implicitly encode the route sets
-    the loading used; len(aon_trees) == iterations. aon_trees and
-    objective_history are in-memory diagnostics and are not serialized.
+    pair, zero where the pair is unreachable. aon_trees keeps, for each
+    flow update, the shortest-path trees its loading used: open shelter
+    id -> node id -> id of the successor link leaving that node toward the
+    shelter, for every node that reaches the shelter except the shelter
+    itself; len(aon_trees) == iterations. aon_trees and objective_history
+    are in-memory diagnostics and are not serialized.
     """
 
     link_flows: dict[str, float]
@@ -78,6 +91,61 @@ def relative_gap(total_current: float, total_auxiliary: float) -> float:
     return diff / total_current
 
 
+def _shelter_trees(
+    network: Network, times: np.ndarray, shelter_idx: Sequence[int]
+) -> list[tuple[list[float], list[int], list[int]]]:
+    """Kernel step 1: per shelter index, (dist to it from every node,
+    successor link toward it, settle order) under link `times`."""
+    t = times.tolist()
+    return [_dijkstra_indexed(network.reverse_adjacency, t, si) for si in shelter_idx]
+
+
+def _logit_split(
+    productions: np.ndarray, cost: np.ndarray, beta: float, origins: Sequence[str]
+) -> np.ndarray:
+    """Kernel step 2: stabilized logit split of every row of `cost`.
+
+    `cost` is origins x shelters; an infinite cost (no path) gets weight
+    exp(-inf) = 0. Raises InfeasibleOriginError for the first origin whose
+    row is all infinite.
+    """
+    best = np.min(cost, axis=1, initial=math.inf)
+    stranded = np.flatnonzero(np.isinf(best))
+    if stranded.size:
+        raise InfeasibleOriginError(origins[stranded[0]])
+    weights = np.exp(-beta * (cost - best[:, None]))
+    return productions[:, None] * weights / weights.sum(axis=1, keepdims=True)
+
+
+def _load_trees(
+    network: Network,
+    trees: Sequence[tuple[list[float], list[int], list[int]]],
+    q: np.ndarray,
+    origin_idx: Sequence[int],
+) -> np.ndarray:
+    """Kernel step 3: link flows when origin i sends q[i, s] down tree s.
+
+    Each origin's flow is put on its node; then the tree is walked in
+    reverse settle order, pushing each node's flow onto its successor link
+    and into that link's head node. Link times are > 0, so the head is
+    settled before the node and receives all its flow before its own
+    turn. The shelter itself (settled first) keeps what reaches it.
+    """
+    heads = network.link_heads
+    V = [0.0] * len(heads)
+    for (_, succ, order), column in zip(trees, q.T.tolist()):
+        node_flow = [0.0] * len(succ)
+        for oi, flow in zip(origin_idx, column):
+            node_flow[oi] = flow
+        for v in order[:0:-1]:
+            flow = node_flow[v]
+            if flow:
+                li = succ[v]
+                V[li] += flow
+                node_flow[heads[li]] += flow
+    return np.array(V)
+
+
 def logit_distribution(
     productions: Mapping[str, float],
     costs: Mapping[tuple[str, str], float],
@@ -91,43 +159,27 @@ def logit_distribution(
     InfeasibleOriginError for a positive-production origin left with no
     reachable shelter.
     """
-    beta = impedance.beta
-    split: dict[tuple[str, str], float] = {}
     for origin in sorted(productions):
         production = productions[origin]
         if production < 0 or not math.isfinite(production):
             raise ValueError(f"production for origin {origin!r} must be finite and >= 0")
-        if production == 0:
-            continue
-        options = sorted(
-            (shelter, cost)
-            for (o, shelter), cost in costs.items()
-            if o == origin and math.isfinite(cost)
-        )
-        if not options:
-            raise InfeasibleOriginError(origin)
-        best = min(cost for _, cost in options)
-        weights = [math.exp(-beta * (cost - best)) for _, cost in options]
-        total = sum(weights)
-        for (shelter, _), weight in zip(options, weights):
-            split[(origin, shelter)] = production * weight / total
-    return split
-
-
-def _logit_rows(
-    productions: np.ndarray, cost: np.ndarray, beta: float, origins: Sequence[str]
-) -> np.ndarray:
-    """Row-wise stabilized logit split; cost rows may contain inf (unreachable)."""
-    q = np.zeros_like(cost)
-    for i in range(cost.shape[0]):
-        row = cost[i]
-        finite = np.isfinite(row)
-        if not finite.any():
-            raise InfeasibleOriginError(origins[i])
-        weights = np.zeros_like(row)
-        weights[finite] = np.exp(-beta * (row[finite] - row[finite].min()))
-        q[i] = productions[i] * weights / weights.sum()
-    return q
+    origins = sorted(o for o, p in productions.items() if p > 0)
+    shelters = sorted({s for _, s in costs})
+    row = {o: i for i, o in enumerate(origins)}
+    col = {s: j for j, s in enumerate(shelters)}
+    cost = np.full((len(origins), len(shelters)), math.inf)
+    for (origin, shelter), c in costs.items():
+        if origin in row and math.isfinite(c):
+            cost[row[origin], col[shelter]] = c
+    q = _logit_split(
+        np.array([productions[o] for o in origins], dtype=float), cost, impedance.beta, origins
+    )
+    return {
+        (origin, shelter): float(q[i, j])
+        for i, origin in enumerate(origins)
+        for j, shelter in enumerate(shelters)
+        if math.isfinite(cost[i, j])
+    }
 
 
 def all_or_nothing(
@@ -137,52 +189,34 @@ def all_or_nothing(
 ) -> dict[str, float]:
     """Load each origin-shelter flow entirely onto its current shortest path.
 
-    Ties in path cost resolve toward lower link ids, so the loading is
-    deterministic. Raises UnreachablePairError when a pair with positive
-    flow has no path.
+    The paths are those of the solver's kernel: one tree per shelter with
+    positive flow, searched from the shelter, where on exact cost ties the
+    successor link with the lower id wins, so the loading is
+    deterministic. Raises ValueError for a negative or non-finite flow or
+    a pair naming no network node, and UnreachablePairError when a pair
+    with positive flow has no path.
     """
     times = network.times_to_array(link_times)
-    by_origin: dict[str, list[tuple[str, float]]] = {}
     for (origin, shelter), flow in od_flows.items():
         if flow < 0 or not math.isfinite(flow):
             raise ValueError(f"flow for pair ({origin!r}, {shelter!r}) must be finite and >= 0")
-        by_origin.setdefault(origin, []).append((shelter, flow))
-    flows = np.zeros(len(network.link_ids))
-    tails = _tail_indices(network)
-    for origin in sorted(by_origin):
-        if origin not in network.node_index:
-            raise ValueError(f"origin {origin!r} is not a network node")
-        origin_idx = network.node_index[origin]
-        dist, pred = _dijkstra_indexed(network, times, origin_idx)
-        for shelter, flow in sorted(by_origin[origin]):
-            if flow == 0:
-                continue
-            shelter_idx = network.node_index.get(shelter)
-            if shelter_idx is None:
-                raise ValueError(f"shelter {shelter!r} is not a network node")
-            if math.isinf(dist[shelter_idx]):
-                raise UnreachablePairError(origin, shelter)
-            _walk_path(flows, pred, tails, origin_idx, shelter_idx, flow)
-    return network.link_dict(flows)
-
-
-def _tail_indices(network: Network) -> list[int]:
-    index = network.node_index
-    return [index.get(link.from_node, -1) for link in network.sorted_links]
-
-
-def _walk_path(
-    flows: np.ndarray,
-    pred: Sequence[int],
-    tails: Sequence[int],
-    origin_idx: int,
-    node_idx: int,
-    flow: float,
-) -> None:
-    while node_idx != origin_idx:
-        li = pred[node_idx]
-        flows[li] += flow
-        node_idx = tails[li]
+    positive = sorted(pair for pair, flow in od_flows.items() if flow > 0)
+    origins = sorted({o for o, _ in od_flows})
+    shelters = sorted({s for _, s in positive})
+    for kind, ids in (("origin", origins), ("shelter", shelters)):
+        for node_id in ids:
+            if node_id not in network.node_index:
+                raise ValueError(f"{kind} {node_id!r} is not a network node")
+    row = {o: i for i, o in enumerate(origins)}
+    col = {s: j for j, s in enumerate(shelters)}
+    trees = _shelter_trees(network, times, [network.node_index[s] for s in shelters])
+    q = np.zeros((len(origins), len(shelters)))
+    for origin, shelter in positive:
+        if math.isinf(trees[col[shelter]][0][network.node_index[origin]]):
+            raise UnreachablePairError(origin, shelter)
+        q[row[origin], col[shelter]] = od_flows[(origin, shelter)]
+    origin_idx = [network.node_index[o] for o in origins]
+    return network.link_dict(_load_trees(network, trees, q, origin_idx))
 
 
 def _beckmann_entropy(
@@ -220,24 +254,24 @@ def _line_search_step(
     def derivative(lam: float) -> float:
         value = float(np.dot(bpr_times_array(t0, cap, V + lam * dV), dV))
         if dq_m.size:
-            with np.errstate(divide="ignore"):
-                logs = np.log(q_m + lam * dq_m)
-            value += float(np.dot(logs, dq_m)) / beta
+            value += float(np.dot(np.log(q_m + lam * dq_m), dq_m)) / beta
         return value
 
-    if derivative(1.0) <= 0.0:
-        return 1.0
-    if derivative(0.0) >= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if derivative(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
+    # log(0) = -inf where a pair's flow reaches zero at an end of the segment
+    with np.errstate(divide="ignore"):
+        if derivative(1.0) <= 0.0:
+            return 1.0
+        if derivative(0.0) >= 0.0:
+            return 0.0
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if derivative(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-14:
+                break
     return 0.5 * (lo + hi)
 
 
@@ -251,11 +285,13 @@ def solve_lower_level(
     """Solve the evacuees' combined shelter/route choice equilibrium.
 
     Deterministic double-stage iteration: starting from free-flow times,
-    each pass builds shortest-path trees per origin, splits demand by
-    logit at those costs, loads it all-or-nothing on the same trees, and
-    blends flows with step 1/k (msa) or the exact line search. Stops when
-    the relative gap drops to config.gap_tolerance, or flags the result
-    non-converged after config.max_iterations flow updates.
+    each pass builds one shortest-path tree per open shelter from the
+    shelter end (its costs are the origin x shelter cost matrix), splits
+    all demand by logit at those costs, loads each shelter's share
+    all-or-nothing down the same tree, and blends flows with step 1/k
+    (msa) or the exact line search. Stops when the relative gap drops to
+    config.gap_tolerance, or flags the result non-converged after
+    config.max_iterations flow updates.
     """
     open_ids = sorted(set(open_shelters))
     if not open_ids:
@@ -273,12 +309,10 @@ def solve_lower_level(
     beta = impedance.beta
     t0 = network.free_flow_array
     cap = network.capacity_array
-    tails = _tail_indices(network)
     node_ids = network.node_ids
     link_ids = network.link_ids
 
-    n_links = len(link_ids)
-    V = np.zeros(n_links)
+    V = np.zeros(len(link_ids))
     q = np.zeros((len(origins), len(open_ids)))
     times = t0.copy()
     aon_trees: list[dict[str, dict[str, str]]] = []
@@ -287,23 +321,15 @@ def solve_lower_level(
     converged = False
 
     while True:
-        preds: list[list[int]] = []
-        cost = np.empty((len(origins), len(open_ids)))
-        for i, oi in enumerate(origin_idx):
-            dist, pred = _dijkstra_indexed(network, times, oi)
-            preds.append(pred)
-            cost[i] = [dist[si] for si in shelter_idx]
-        q_aux = _logit_rows(productions, cost, beta, origins)
-
-        V_aux = np.zeros(n_links)
-        for i, oi in enumerate(origin_idx):
-            for s, si in enumerate(shelter_idx):
-                flow = q_aux[i, s]
-                if flow > 0:
-                    _walk_path(V_aux, preds[i], tails, oi, si, flow)
+        trees = _shelter_trees(network, times, shelter_idx)
+        cost = np.array([dist for dist, _, _ in trees])[:, origin_idx].T.copy()
+        q_aux = _logit_split(productions, cost, beta, origins)
+        V_aux = _load_trees(network, trees, q_aux, origin_idx)
 
         gap = relative_gap(float(np.dot(V, times)), float(np.dot(V_aux, times)))
-        if gap <= config.gap_tolerance:
+        # The empty start also has gap 0 when all demand sits at open
+        # shelters, but q is still zero there: take the first update.
+        if gap <= config.gap_tolerance and (iterations > 0 or not origins):
             converged = True
             break
         if iterations >= config.max_iterations:
@@ -321,12 +347,8 @@ def solve_lower_level(
         iterations += 1
         aon_trees.append(
             {
-                origins[i]: {
-                    node_ids[v]: link_ids[preds[i][v]]
-                    for v in range(len(node_ids))
-                    if preds[i][v] >= 0
-                }
-                for i in range(len(origins))
+                sid: {node_ids[v]: link_ids[succ[v]] for v in order[1:]}
+                for sid, (_, succ, order) in zip(open_ids, trees)
             }
         )
         objective_history.append(_beckmann_entropy(t0, cap, V, q.ravel(), beta))

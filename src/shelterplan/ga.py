@@ -46,11 +46,20 @@ def penalized_objective(
 ) -> float:
     """Total evacuation time plus weighted shelter/link capacity excess."""
     shelter_excess, link_excess = constraint_violations(result, shelters, network)
-    return (
-        total_evacuation_time(network, result)
-        + penalties.alpha_shelter * sum(shelter_excess.values())
-        + penalties.beta_link * sum(link_excess.values())
+    return _penalized(
+        total_evacuation_time(network, result),
+        sum(shelter_excess.values()),
+        sum(link_excess.values()),
+        penalties,
     )
+
+
+def _penalized(
+    total_time: float, shelter_total: float, link_total: float, penalties: PenaltyConfig
+) -> float:
+    """The one expression of the penalized objective, so that a fitness
+    evaluation equals `penalized_objective` bit for bit."""
+    return total_time + penalties.alpha_shelter * shelter_total + penalties.beta_link * link_total
 
 
 @dataclass(frozen=True)
@@ -104,14 +113,14 @@ def evaluate_individual(selection: Sequence[int], context: EvaluationContext) ->
     except (InfeasibleOriginError, UnreachablePairError) as exc:
         return Evaluation(WORST_FITNESS, None, False, note=str(exc))
     shelter_excess, link_excess = constraint_violations(result, shelters, context.network)
-    objective = penalized_objective(context.network, shelters, result, context.penalties)
+    total_time = total_evacuation_time(context.network, result)
     shelter_total = sum(shelter_excess.values())
     link_total = sum(link_excess.values())
     return Evaluation(
-        penalized_objective=objective,
+        penalized_objective=_penalized(total_time, shelter_total, link_total, context.penalties),
         assignment=result,
         feasible=(shelter_total == 0.0 and link_total == 0.0),
-        total_evacuation_time=total_evacuation_time(context.network, result),
+        total_evacuation_time=total_time,
         shelter_excess_total=shelter_total,
         link_excess_total=link_total,
     )

@@ -142,6 +142,24 @@ class Network:
         return tuple(tuple(lst) for lst in out)
 
     @cached_property
+    def reverse_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node index: incoming (link_index, tail_node_index), ascending link index.
+
+        The reversed graph of `adjacency`: a search over it from a node
+        finds the shortest paths that end there.
+        """
+        inc: list[list[tuple[int, int]]] = [[] for _ in self.node_ids]
+        for u, outgoing in enumerate(self.adjacency):
+            for li, v in outgoing:
+                inc[v].append((li, u))
+        return tuple(tuple(sorted(lst)) for lst in inc)
+
+    @cached_property
+    def link_heads(self) -> tuple[int, ...]:
+        """Per link index: the index of the link's head node (-1 if unknown)."""
+        return tuple(self.node_index.get(link.to_node, -1) for link in self.sorted_links)
+
+    @cached_property
     def incoming_links(self) -> dict[str, tuple[str, ...]]:
         """Node id -> ids of links entering it (ascending link id)."""
         inc: dict[str, list[str]] = {nid: [] for nid in self.node_ids}
@@ -210,37 +228,44 @@ class ShortestPathTree(NamedTuple):
 
 
 def _dijkstra_indexed(
-    network: Network, times: np.ndarray, origin_index: int
-) -> tuple[list[float], list[int]]:
-    """Dijkstra over internal indices.
+    adjacency: Sequence[Sequence[tuple[int, int]]], times: Sequence[float], source: int
+) -> tuple[list[float], list[int], list[int]]:
+    """Dijkstra over internal indices; `times` is indexed by link.
 
-    Returns (dist, pred_link) lists indexed by node; unreachable nodes have
-    dist == inf and pred_link == -1. On exact cost ties the predecessor
-    with the lower link index (== lower link id) wins.
+    Returns (dist, link, order): dist[v] is the cost between `source` and
+    v, link[v] the tree link at v on one such path, and order the
+    reachable nodes in settle order (nondecreasing dist, `source` first).
+    link[v] == -1 for `source` and for unreachable nodes, whose dist is
+    inf. On exact cost ties the lower link index (== lower link id) wins.
+
+    Over `Network.adjacency` link[v] is the predecessor link entering v on
+    a path from `source`. Over `Network.reverse_adjacency` dist[v] is the
+    cost from v to `source` and link[v] the successor link leaving v
+    toward it, so one call gives every node's path to one shelter.
     """
-    n = len(network.node_ids)
-    adjacency = network.adjacency
-    t = times.tolist()
+    n = len(adjacency)
     dist: list[float] = [math.inf] * n
-    pred: list[int] = [-1] * n
-    dist[origin_index] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, origin_index)]
+    link: list[int] = [-1] * n
+    dist[source] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, source)]
     done = [False] * n
+    order: list[int] = []
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
             continue
         done[u] = True
+        order.append(u)
         for li, v in adjacency[u]:
-            nd = d + t[li]
+            nd = d + times[li]
             dv = dist[v]
             if nd < dv:
                 dist[v] = nd
-                pred[v] = li
+                link[v] = li
                 heapq.heappush(heap, (nd, v))
-            elif nd == dv and pred[v] >= 0 and li < pred[v]:
-                pred[v] = li
-    return dist, pred
+            elif nd == dv and link[v] >= 0 and li < link[v]:
+                link[v] = li
+    return dist, link, order
 
 
 def shortest_path_tree(
@@ -253,8 +278,8 @@ def shortest_path_tree(
     """
     if origin not in network.node_index:
         raise ValueError(f"origin {origin!r} is not a network node")
-    times = network.times_to_array(link_times)
-    dist, pred = _dijkstra_indexed(network, times, network.node_index[origin])
+    times = network.times_to_array(link_times).tolist()
+    dist, pred, _ = _dijkstra_indexed(network.adjacency, times, network.node_index[origin])
     costs: dict[str, float] = {}
     predecessors: dict[str, str] = {}
     for i, nid in enumerate(network.node_ids):

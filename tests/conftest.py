@@ -5,6 +5,7 @@ from pathlib import Path
 
 import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from shelterplan.io import ProblemBundle, load_problem
 from shelterplan.network import Link, Network, Node, bpr_time, shortest_path_tree
@@ -26,6 +27,24 @@ def make_network(nodes, links) -> Network:
         nodes=[Node(i, k) for i, k in nodes],
         links=[Link(l[0], l[1], l[2], l[3], l[4], l[5] if len(l) > 5 else 1.0) for l in links],
     )
+
+
+@st.composite
+def small_digraphs(draw):
+    """Random directed graphs on up to 8 nodes: (network, link-id -> time)."""
+    n_nodes = draw(st.integers(2, 8))
+    node_ids = [f"n{i}" for i in range(n_nodes)]
+    n_links = draw(st.integers(1, 16))
+    links = []
+    for k in range(n_links):
+        u = draw(st.integers(0, n_nodes - 1))
+        v = draw(st.integers(0, n_nodes - 1))
+        if u == v:
+            v = (v + 1) % n_nodes
+        time = draw(st.floats(0.1, 10.0))
+        links.append((f"e{k:02d}", node_ids[u], node_ids[v], 1000.0, time))
+    net = make_network([(nid, "intermediate") for nid in node_ids], links)
+    return net, {l[0]: l[4] for l in links}
 
 
 def two_shelter_network() -> Network:

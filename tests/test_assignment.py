@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from shelterplan.assignment import (
     AssignmentResult,
+    _shelter_trees,
     InfeasibleOriginError,
     UnreachablePairError,
     all_or_nothing,
@@ -24,7 +25,9 @@ from shelterplan.problem import (
     ShelterSet,
 )
 
-from conftest import make_network, two_shelter_network
+from shelterplan.network import shortest_path_tree
+
+from conftest import make_network, small_digraphs, two_shelter_network
 from oracles import convex_route_minimum, route_fixed_point
 
 BETA10 = ImpedanceParameter(10.0)
@@ -160,6 +163,77 @@ def test_aon_rejects_negative_flow():
         all_or_nothing(net, {("o", "s"): -1.0}, {"L1": 1.0, "L2": 1.0})
 
 
+# ---- the kernel against forward shortest-path trees ----------------------
+
+
+@given(small_digraphs())
+def test_shelter_tree_costs_match_forward_trees(graph):
+    net, times = graph
+    t = net.times_to_array(times)
+    trees = _shelter_trees(net, t, range(len(net.node_ids)))
+    for target, (dist, succ, order) in zip(net.node_ids, trees):
+        assert order[0] == net.node_index[target] and succ[order[0]] == -1
+        for source in net.node_ids:
+            forward = shortest_path_tree(net, times, source).costs.get(target, math.inf)
+            reverse = dist[net.node_index[source]]
+            if math.isinf(forward):
+                assert math.isinf(reverse)
+            else:
+                assert reverse == pytest.approx(forward, rel=1e-12, abs=0.0)
+
+
+@given(small_digraphs(), st.data())
+def test_aon_conserves_flow_and_loads_shortest_paths(graph, data):
+    net, times = graph
+    costs = {o: shortest_path_tree(net, times, o).costs for o in net.node_ids}
+    pairs = [(o, s) for o in net.node_ids for s in sorted(costs[o])]
+    amounts = data.draw(st.lists(st.floats(0.0, 1000.0), min_size=len(pairs), max_size=len(pairs)))
+    od = dict(zip(pairs, amounts))
+    flows = all_or_nothing(net, od, times)
+    total = sum(amounts)
+    balance = {n: 0.0 for n in net.node_ids}
+    for link in net.links:
+        balance[link.to_node] += flows[link.id]
+        balance[link.from_node] -= flows[link.id]
+    for (o, s), flow in od.items():
+        balance[s] -= flow
+        balance[o] += flow
+    for net_inflow in balance.values():
+        assert net_inflow == pytest.approx(0.0, abs=1e-12 * max(total, 1.0))
+    loaded = sum(flows[l] * t for l, t in times.items())
+    shortest = sum(flow * costs[o][s] for (o, s), flow in od.items())
+    assert loaded == pytest.approx(shortest, rel=1e-12, abs=0.0)
+
+
+def diamond_network():
+    return make_network(
+        [("o", "origin"), ("a", "intermediate"), ("b", "intermediate"),
+         ("s", "shelter-candidate")],
+        [("L1", "o", "a", 1000, 1.0), ("L2", "o", "b", 1000, 1.0),
+         ("L3", "a", "s", 1000, 1.0), ("L4", "b", "s", 1000, 1.0)],
+    )
+
+
+def test_equal_cost_routes_take_the_lower_link_id():
+    net = diamond_network()
+    flows = all_or_nothing(net, {("o", "s"): 10.0}, {l: 1.0 for l in ("L1", "L2", "L3", "L4")})
+    assert flows == {"L1": 10.0, "L2": 0.0, "L3": 10.0, "L4": 0.0}
+    result = solve(net, ["s"], {"o": 10.0}, 1.0)
+    assert result.aon_trees[0]["s"] == {"a": "L3", "b": "L4", "o": "L1"}
+    assert result.link_flows["L1"] == 10.0 and result.link_flows["L2"] == 0.0
+
+
+def test_origin_at_an_open_shelter_stays_there():
+    net = two_shelter_network()
+    flows = all_or_nothing(net, {("s1", "s1"): 5.0, ("o", "s2"): 2.0}, {"L1": 5.0, "L2": 6.5})
+    assert flows == {"L1": 0.0, "L2": 2.0}
+    # s1 cannot reach s2, so all of its demand stays at zero cost
+    result = solve(net, ["s1", "s2"], {"s1": 300.0}, 0.5)
+    assert result.converged
+    assert result.od_flows == {("s1", "s1"): 300.0, ("s1", "s2"): 0.0}
+    assert result.link_flows == {"L1": 0.0, "L2": 0.0}
+
+
 # ---- solve_lower_level ----------------------------------------------------
 
 
@@ -291,9 +365,10 @@ def test_aon_trees_record_one_tree_per_iteration():
     result = solve(net, ["s1", "s2"], {"o": 1000.0}, 0.5, step_rule="exact-line-search")
     assert len(result.aon_trees) == result.iterations
     for trees in result.aon_trees:
-        assert set(trees) == {"o"}
-        assert set(trees["o"]) == {"s1", "s2"}
-        assert trees["o"]["s1"] == "L1"
+        # one tree per open shelter: node -> successor link toward it
+        assert set(trees) == {"s1", "s2"}
+        assert trees["s1"] == {"o": "L1"}
+        assert trees["s2"] == {"o": "L2"}
 
 
 # ---- gap metric -----------------------------------------------------------

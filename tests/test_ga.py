@@ -147,6 +147,28 @@ def test_same_selection_evaluates_identically():
     assert first.assignment.link_flows == second.assignment.link_flows
 
 
+@pytest.mark.parametrize("selection", [(1, 1, 0, 0), (1, 0, 1, 0)])
+def test_evaluation_computes_each_term_once(monkeypatch, selection):
+    calls = {"constraint_violations": 0, "total_evacuation_time": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(ga_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(ga_module, name, counted)
+    context = desk_context()
+    evaluation = evaluate_individual(selection, context)
+    assert calls == {"constraint_violations": 1, "total_evacuation_time": 1}
+    # bit for bit the public objective (an infeasible and a feasible plan)
+    assert evaluation.feasible == (selection == (1, 0, 1, 0))
+    assert evaluation.penalized_objective == penalized_objective(
+        context.network,
+        context.shelters.with_selection(selection),
+        evaluation.assignment,
+        context.penalties,
+    )
+
+
 def test_selection_length_must_match():
     with pytest.raises(ValueError, match="length"):
         evaluate_individual((1, 0, 1), tiny_context())

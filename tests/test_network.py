@@ -13,7 +13,7 @@ from shelterplan.network import (
 )
 from shelterplan.problem import CandidateShelter, ShelterSet
 
-from conftest import make_network
+from conftest import make_network, small_digraphs
 from oracles import min_cost_by_enumeration, path_cost, simple_paths
 
 
@@ -142,23 +142,6 @@ def test_unknown_origin_is_an_error():
     )
     with pytest.raises(ValueError, match="nope"):
         shortest_path_tree(net, {"L": 5.0}, "nope")
-
-
-@st.composite
-def small_digraphs(draw):
-    n_nodes = draw(st.integers(2, 8))
-    node_ids = [f"n{i}" for i in range(n_nodes)]
-    n_links = draw(st.integers(1, 16))
-    links = []
-    for k in range(n_links):
-        u = draw(st.integers(0, n_nodes - 1))
-        v = draw(st.integers(0, n_nodes - 1))
-        if u == v:
-            v = (v + 1) % n_nodes
-        time = draw(st.floats(0.1, 10.0))
-        links.append((f"e{k:02d}", node_ids[u], node_ids[v], 1000.0, time))
-    net = make_network([(nid, "intermediate") for nid in node_ids], links)
-    return net, {l[0]: l[4] for l in links}
 
 
 @given(small_digraphs())
