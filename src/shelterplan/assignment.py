@@ -13,8 +13,10 @@ each pass runs one array kernel:
 2. one logit split of that whole matrix;
 3. all-or-nothing loading of each shelter's column of the split onto
    its tree, walking the tree from its far end back to the shelter;
-4. a blend with the current flows (successive averages or an exact line
-   search on the convex objective).
+4. a blend with the current flows: successive averages, or an exact
+   line search on the convex objective, which takes safeguarded Newton
+   steps on its closed-form first and second derivatives along the blend
+   segment.
 
 `logit_distribution` (step 2) and `all_or_nothing` (steps 1 and 3) are
 the dict-keyed public forms of the same kernel.
@@ -245,31 +247,69 @@ def _line_search_step(
     dq: np.ndarray,
     beta: float,
 ) -> float:
-    """Minimize the convex objective along the blend segment by bisecting
-    its directional derivative over lambda in [0, 1]."""
+    """Minimize the convex objective phi along the blend segment over
+    lambda in [0, 1] by a safeguarded Newton search on phi'.
+
+    Returns 1.0 if phi'(1) <= 0 and 0.0 if phi'(0) >= 0. Otherwise each
+    probe gives phi' and phi'' in closed form,
+
+        phi'(l)  = sum t(V + l dV) dV + sum log(q + l dq) dq / beta
+        phi''(l) = sum t'(V + l dV) dV^2 + sum dq^2 / (q + l dq) / beta
+
+    with t' the BPR slope, and the search keeps a bracket [lo, hi] with
+    phi'(lo) < 0 <= phi'(hi). It takes the Newton point when that falls
+    strictly inside the bracket and bisects otherwise, so a non-finite
+    phi' or phi'' (log 0 and dq/0 at the segment's ends, where a pair's
+    flow is zero) costs one bisection and never ends the search. It
+    returns lambda once a Newton update would move it by less than 1e-15
+    and by less than a sixteenth of lambda's distance m to the nearer end,
+    and the bracket's midpoint once the bracket is narrower than 1e-14 or
+    after 60 probes inside the segment.
+
+    The second condition makes a small step mean a near root. The flows
+    are blends of two non-negative states, so every V + l dV is at least
+    m |dV| and every q + l dq at least m |dq|. Within m / 2 of lambda each
+    term of phi'' therefore keeps at least 1/8 of its value, and a step
+    below m / 16 puts the root within 8 steps. Near an end, phi'' is huge
+    where a pair's flow is tiny (dq^2 / q for q = 1e-20), and a tiny step
+    there says nothing about the distance to the root.
+    """
     moving = dq != 0.0
     dq_m = dq[moving]
     q_m = q[moving]
+    dq2_m = dq_m * dq_m
+    # t'(x) dV^2 = slope * x^3 for the BPR exponent 4
+    slope = (BPR_EXPONENT * BPR_COEFFICIENT) * t0 / cap ** BPR_EXPONENT * (dV * dV)
 
-    def derivative(lam: float) -> float:
-        value = float(np.dot(bpr_times_array(t0, cap, V + lam * dV), dV))
+    def probe(lam: float) -> tuple[float, float]:
+        x = V + lam * dV
+        first = float(np.dot(bpr_times_array(t0, cap, x), dV))
+        second = float(np.dot(slope, x * x * x))
         if dq_m.size:
-            value += float(np.dot(np.log(q_m + lam * dq_m), dq_m)) / beta
-        return value
+            flow = q_m + lam * dq_m
+            first += float(np.dot(np.log(flow), dq_m)) / beta
+            second += float((dq2_m / flow).sum()) / beta
+        return first, second
 
-    # log(0) = -inf where a pair's flow reaches zero at an end of the segment
+    # log 0 = -inf and dq/0 = inf where a pair's flow is zero at an end of
+    # the segment
     with np.errstate(divide="ignore"):
-        if derivative(1.0) <= 0.0:
+        if probe(1.0)[0] <= 0.0:
             return 1.0
-        if derivative(0.0) >= 0.0:
+        first, second = probe(0.0)
+        if first >= 0.0:
             return 0.0
-        lo, hi = 0.0, 1.0
+        lo, hi, lam = 0.0, 1.0, 0.0
         for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if derivative(mid) < 0.0:
-                lo = mid
+            step = first / second if 0.0 < second < math.inf else math.nan
+            if abs(step) < 1e-15 and 16.0 * abs(step) < min(lam, 1.0 - lam):
+                return lam
+            lam = lam - step if lo < lam - step < hi else 0.5 * (lo + hi)
+            first, second = probe(lam)
+            if first < 0.0:
+                lo = lam
             else:
-                hi = mid
+                hi = lam
             if hi - lo < 1e-14:
                 break
     return 0.5 * (lo + hi)

@@ -218,10 +218,13 @@ def _next_generation(
     weights = np.empty(n)
     for position, i in enumerate(order):
         weights[i] = n - position  # linear rank: best n, worst 1
-    probabilities = weights / weights.sum()
+    # the rank CDF that rng.choice(n, p=weights / weights.sum()) builds on
+    # every call: one rng.random() per draw gives the same draws and stream
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
 
     def pick() -> tuple[int, ...]:
-        return population[int(rng.choice(n, p=probabilities))]
+        return population[int(cdf.searchsorted(rng.random(), side="right"))]
 
     slots = n - ga.elitism_count
     crossover_slots = round(ga.reproduction_rate * slots)

@@ -122,8 +122,9 @@ class PenaltyConfig:
     beta_link: float = 1e6
 
     def __post_init__(self) -> None:
-        if self.alpha_shelter < 0 or self.beta_link < 0:
-            raise ValueError("penalty weights must be >= 0")
+        for weight in (self.alpha_shelter, self.beta_link):
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError("penalty weights must be finite and >= 0")
 
 
 MUTATION_MODES = ("individual", "per-bit")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from shelterplan.network import Network
+from shelterplan.network import Network, bpr_times_array
 
 
 def simple_paths(network: Network, origin: str, target: str) -> list[tuple[str, ...]]:
@@ -223,3 +223,44 @@ def convex_route_minimum(
     assert solution.success, solution.message
     v = incidence @ solution.x
     return {lid: float(v[link_pos[lid]]) for lid in link_ids}
+
+
+def bisection_line_search_step(
+    t0: np.ndarray,
+    cap: np.ndarray,
+    V: np.ndarray,
+    dV: np.ndarray,
+    q: np.ndarray,
+    dq: np.ndarray,
+    beta: float,
+) -> float:
+    """Reference for the solver's exact line search: minimize the convex
+    objective along the blend segment by bisecting its directional
+    derivative over lambda in [0, 1] (the solver's step before it took
+    Newton steps on the closed-form second derivative)."""
+    moving = dq != 0.0
+    dq_m = dq[moving]
+    q_m = q[moving]
+
+    def derivative(lam: float) -> float:
+        value = float(np.dot(bpr_times_array(t0, cap, V + lam * dV), dV))
+        if dq_m.size:
+            value += float(np.dot(np.log(q_m + lam * dq_m), dq_m)) / beta
+        return value
+
+    # log(0) = -inf where a pair's flow reaches zero at an end of the segment
+    with np.errstate(divide="ignore"):
+        if derivative(1.0) <= 0.0:
+            return 1.0
+        if derivative(0.0) >= 0.0:
+            return 0.0
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if derivative(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-14:
+                break
+    return 0.5 * (lo + hi)

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from shelterplan.assignment import (
     AssignmentResult,
+    _beckmann_entropy,
+    _line_search_step,
     _shelter_trees,
     InfeasibleOriginError,
     UnreachablePairError,
@@ -27,8 +29,8 @@ from shelterplan.problem import (
 
 from shelterplan.network import shortest_path_tree
 
-from conftest import make_network, small_digraphs, two_shelter_network
-from oracles import convex_route_minimum, route_fixed_point
+from conftest import load_instance, make_network, small_digraphs, two_shelter_network
+from oracles import bisection_line_search_step, convex_route_minimum, route_fixed_point
 
 BETA10 = ImpedanceParameter(10.0)
 
@@ -447,6 +449,146 @@ def test_line_search_objective_never_increases(beta):
     assert history[-1] == pytest.approx(
         lower_level_objective(net, result, ImpedanceParameter(beta)), rel=1e-12
     )
+
+
+def test_line_search_objective_never_increases_on_synthetic_town():
+    bundle = load_instance("sanrocco_synthetic")
+    vacation = next(s for s in bundle.scenarios if s.name == "vacation")
+    candidates = [c.node_id for c in bundle.shelters.candidates]
+    assert bundle.assignment.step_rule == "exact-line-search"
+    for mask in range(1, 2 ** len(candidates)):
+        open_ids = [c for k, c in enumerate(candidates) if mask >> k & 1]
+        result = solve_lower_level(
+            bundle.network, open_ids, vacation, bundle.impedance, bundle.assignment
+        )
+        history = result.objective_history
+        assert all(later <= earlier for earlier, later in zip(history, history[1:])), open_ids
+
+
+# ---- line-search step ------------------------------------------------------
+
+
+def segment_objective(t0, cap, V, dV, q, dq, beta, lam):
+    return _beckmann_entropy(t0, cap, V + lam * dV, q + lam * dq, beta)
+
+
+def check_step_against_bisection(t0, cap, V, V_aux, q, q_aux, beta):
+    """The Newton step lands within 1e-12 of the bisection reference, or
+    reaches an objective no higher than the reference's."""
+    args = (t0, cap, V, V_aux - V, q, q_aux - q, beta)
+    lam = _line_search_step(*args)
+    reference = bisection_line_search_step(*args)
+    assert 0.0 <= lam <= 1.0
+    if abs(lam - reference) > 1e-12:
+        # on a flat segment the two minimizers differ by more than 1e-12
+        # while their objectives agree to rounding
+        ref_objective = segment_objective(*args, reference)
+        assert segment_objective(*args, lam) <= ref_objective + 8 * np.spacing(abs(ref_objective))
+    return lam, reference
+
+
+# tiny positive flows make phi'' huge near the segment's ends
+flows = st.one_of(st.just(0.0), st.floats(1e-30, 1e-3), st.floats(1e-3, 5000.0))
+
+
+@st.composite
+def line_search_segments(draw):
+    n_links = draw(st.integers(1, 6))
+    n_pairs = draw(st.integers(0, 6))
+
+    def vector(n, elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+
+    return (
+        vector(n_links, st.floats(0.1, 20.0)),
+        vector(n_links, st.floats(100.0, 5000.0)),
+        vector(n_links, flows),
+        vector(n_links, flows),
+        vector(n_pairs, flows),
+        vector(n_pairs, flows),
+        draw(st.floats(0.01, 20.0)),
+    )
+
+
+@given(line_search_segments())
+def test_line_search_step_matches_bisection_reference(segment):
+    check_step_against_bisection(*segment)
+
+
+def one_link_segment(V, V_aux, q, q_aux, beta=0.5):
+    return (
+        np.array([5.0]), np.array([800.0]), np.array([V]), np.array([V_aux]),
+        np.array(q, dtype=float), np.array(q_aux, dtype=float), beta,
+    )
+
+
+def test_line_search_step_takes_the_whole_step_when_the_far_end_is_downhill():
+    # all flow moves onto an empty link, and phi'(1) <= 0
+    assert check_step_against_bisection(*one_link_segment(900.0, 0.0, [], [])) == (1.0, 1.0)
+
+
+def test_line_search_step_stays_put_when_the_near_end_is_uphill():
+    # loading an empty link only adds time, and phi'(0) >= 0
+    assert check_step_against_bisection(*one_link_segment(0.0, 900.0, [], [])) == (0.0, 0.0)
+
+
+def test_line_search_step_with_a_pair_empty_at_the_start():
+    # q = 0 on one pair: log 0 and dq/0 at lambda = 0
+    lam, reference = check_step_against_bisection(
+        *one_link_segment(500.0, 900.0, [0.0, 600.0], [400.0, 200.0])
+    )
+    assert 0.0 < lam < 1.0
+    assert lam == pytest.approx(reference, abs=1e-12)
+
+
+def test_line_search_step_with_a_pair_empty_at_the_end():
+    # q_aux = 0 on one pair: log 0 and dq/0 at lambda = 1
+    lam, reference = check_step_against_bisection(
+        *one_link_segment(900.0, 500.0, [300.0, 300.0], [600.0, 0.0])
+    )
+    assert 0.0 < lam < 1.0
+    assert lam == pytest.approx(reference, abs=1e-12)
+
+
+def test_line_search_step_with_a_tiny_pair_flow_at_the_start():
+    # q = 1e-20 makes phi''(0) about 1e26 / beta, so the first Newton step
+    # is about 5e-22 although the minimizer is halfway along
+    lam, reference = check_step_against_bisection(
+        *one_link_segment(0.0, 0.0, [1e-20, 1000.0], [1000.0, 0.0], beta=10.0)
+    )
+    assert lam == pytest.approx(0.5, abs=1e-12)
+    assert lam == pytest.approx(reference, abs=1e-12)
+
+
+def test_line_search_step_with_a_tiny_pair_flow_at_the_end():
+    lam, reference = check_step_against_bisection(
+        *one_link_segment(0.0, 0.0, [1000.0, 0.0], [1e-20, 1000.0], beta=10.0)
+    )
+    assert lam == pytest.approx(0.5, abs=1e-12)
+    assert lam == pytest.approx(reference, abs=1e-12)
+
+
+def test_line_search_step_for_a_route_only_move():
+    # dq == 0: flow shifts between routes of unchanged origin-shelter pairs
+    t0, cap = np.array([5.0, 6.0]), np.array([800.0, 1000.0])
+    q = np.array([400.0, 700.0])
+    lam, reference = check_step_against_bisection(
+        t0, cap, np.array([1100.0, 0.0]), np.array([0.0, 1100.0]), q, q.copy(), 0.5
+    )
+    assert 0.0 < lam < 1.0
+    assert lam == pytest.approx(reference, abs=1e-12)
+
+
+def test_line_search_step_for_a_shelter_only_move():
+    # dV == 0: demand moves between shelters over unchanged link flows
+    V = np.array([900.0, 300.0])
+    lam, reference = check_step_against_bisection(
+        np.array([5.0, 6.0]), np.array([800.0, 1000.0]), V, V.copy(),
+        np.array([1000.0, 200.0]), np.array([200.0, 1000.0]), 0.5,
+    )
+    # the entropy alone is least at the even split, halfway along
+    assert lam == pytest.approx(0.5, abs=1e-12)
+    assert lam == pytest.approx(reference, abs=1e-12)
 
 
 def test_converged_objective_below_all_or_nothing_start():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -321,6 +322,50 @@ def test_invalid_network_fails_before_search():
         ga_solve(net, shelters, DemandScenario("t", {"o": 10.0}),
                  ImpedanceParameter(1.0), PenaltyConfig(), GAConfig(rng_seed=0),
                  AssignmentConfig())
+
+
+def next_generation_by_choice(population, fitness, rng, ga):
+    """Reference: the generation step drawing each parent with rng.choice."""
+    n = len(population)
+    length = len(population[0])
+    order = sorted(range(n), key=lambda i: (fitness[i], population[i]))
+    elites = [population[i] for i in order[: ga.elitism_count]]
+    weights = np.empty(n)
+    for position, i in enumerate(order):
+        weights[i] = n - position
+    probabilities = weights / weights.sum()
+
+    def pick():
+        return population[int(rng.choice(n, p=probabilities))]
+
+    slots = n - ga.elitism_count
+    crossover_slots = round(ga.reproduction_rate * slots)
+    children = []
+    for slot in range(slots):
+        if slot < crossover_slots and length >= 2:
+            mother, father = pick(), pick()
+            cut = int(rng.integers(1, length))
+            child = mother[:cut] + father[cut:]
+        else:
+            child = pick()
+        children.append(ga_module._mutate(child, rng, ga))
+    return elites + children
+
+
+@pytest.mark.parametrize("population_size", [2, 3, 20, 37])
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_parent_draws_match_rng_choice(population_size, seed):
+    ga = GAConfig(population_size=population_size, rng_seed=seed)
+    setup = np.random.default_rng(1000 + seed)
+    population = [tuple(int(b) for b in setup.integers(0, 2, size=6)) for _ in range(population_size)]
+    # ties in fitness are broken by the chromosome, as in ga_solve
+    fitness = [float(f) for f in setup.integers(0, 4, size=population_size)]
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        expected = next_generation_by_choice(population, fitness, theirs, ga)
+        population = ga_module._next_generation(population, fitness, ours, ga)
+        assert population == expected
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @pytest.mark.parametrize(

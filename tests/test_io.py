@@ -206,6 +206,16 @@ def test_invalid_config_combination_is_structured(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("line", [
+    "penalties.beta_link = inf", "penalties.alpha_shelter = nan", "penalties.beta_link = -inf",
+])
+def test_non_finite_penalty_weight_is_rejected(tmp_path, line):
+    path = tmp_path / "config.txt"
+    path.write_text(line + "\n")
+    with pytest.raises(ProblemLoadError, match="penalty weights must be finite"):
+        load_config(path)
+
+
 # ---- load_problem ----------------------------------------------------------
 
 
