@@ -17,7 +17,7 @@ from .assignment import (
     solve_lower_level,
     total_evacuation_time,
 )
-from .enumeration import EnumerationReport, SubsetEvaluation, exhaustive_solve
+from .enumeration import EnumerationReport, exhaustive_solve
 from .ga import (
     Evaluation,
     EvaluationContext,
@@ -25,7 +25,6 @@ from .ga import (
     SolveReport,
     evaluate_individual,
     ga_solve,
-    history_to_csv,
     penalized_objective,
 )
 from .io import ProblemBundle, ProblemLoadError, load_network, load_problem
@@ -73,7 +72,6 @@ __all__ = [
     "ShelterSet",
     "ShortestPathTree",
     "SolveReport",
-    "SubsetEvaluation",
     "UnreachablePairError",
     "all_or_nothing",
     "bpr_time",
@@ -82,7 +80,6 @@ __all__ = [
     "evaluate_individual",
     "exhaustive_solve",
     "ga_solve",
-    "history_to_csv",
     "load_network",
     "load_problem",
     "logit_distribution",

@@ -66,8 +66,8 @@ class AssignmentResult:
     flow update, the shortest-path trees its loading used: open shelter
     id -> node id -> id of the successor link leaving that node toward the
     shelter, for every node that reaches the shelter except the shelter
-    itself; len(aon_trees) == iterations. aon_trees and objective_history
-    are in-memory diagnostics and are not serialized.
+    itself; len(aon_trees) == iterations. aon_trees is an in-memory
+    diagnostic and is not serialized.
     """
 
     link_flows: dict[str, float]
@@ -77,7 +77,6 @@ class AssignmentResult:
     iterations: int
     converged: bool
     aon_trees: tuple[dict[str, dict[str, str]], ...] = field(default=(), metadata={"json": False})
-    objective_history: tuple[float, ...] = field(default=(), metadata={"json": False})
 
 
 def relative_gap(total_current: float, total_auxiliary: float) -> float:
@@ -356,7 +355,6 @@ def solve_lower_level(
     q = np.zeros((len(origins), len(open_ids)))
     times = t0.copy()
     aon_trees: list[dict[str, dict[str, str]]] = []
-    objective_history: list[float] = []
     iterations = 0
     converged = False
 
@@ -391,7 +389,6 @@ def solve_lower_level(
                 for sid, (_, succ, order) in zip(open_ids, trees)
             }
         )
-        objective_history.append(_beckmann_entropy(t0, cap, V, q.ravel(), beta))
 
     od_flows = {
         (origins[i], open_ids[s]): float(q[i, s])
@@ -406,7 +403,6 @@ def solve_lower_level(
         iterations=iterations,
         converged=converged,
         aon_trees=tuple(aon_trees),
-        objective_history=tuple(objective_history),
     )
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .assignment import InfeasibleOriginError, UnreachablePairError, solve_lower_level
 from .enumeration import exhaustive_solve
-from .ga import ga_solve, history_to_csv
+from .ga import ga_solve
 from .io import (
     ProblemLoadError,
     canonical_json,

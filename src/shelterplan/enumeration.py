@@ -6,10 +6,9 @@ fitness evaluation verbatim so the two are comparable term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
-from .ga import EvaluationContext, evaluate_individual
+from .ga import Evaluation, EvaluationContext, evaluate_individual
 from .network import Network
 from .problem import (
     AssignmentConfig,
@@ -23,22 +22,15 @@ MAX_CANDIDATES = 20
 
 
 @dataclass(frozen=True)
-class SubsetEvaluation:
-    selection: tuple[int, ...]
-    penalized_objective: float
-    feasible: bool
-    total_evacuation_time: Optional[float]
-
-
-@dataclass(frozen=True)
 class EnumerationReport:
-    """All 2^J - 1 subset evaluations in canonical (bit-vector value) order.
+    """All 2^J - 1 subset evaluations in canonical (bit-vector value) order,
+    kept without their flows.
 
     `best` indexes the entry with the minimum penalized objective; ties go
     to fewer open shelters, then to the lexicographically smaller selection.
     """
 
-    evaluations: tuple[SubsetEvaluation, ...]
+    evaluations: tuple[Evaluation, ...]
     best: int
 
     def __post_init__(self) -> None:
@@ -48,7 +40,7 @@ class EnumerationReport:
             )
 
     @property
-    def best_evaluation(self) -> SubsetEvaluation:
+    def best_evaluation(self) -> Evaluation:
         return self.evaluations[self.best]
 
 
@@ -77,16 +69,10 @@ def exhaustive_solve(
             f"exhaustive_solve is limited to {MAX_CANDIDATES} candidates"
         )
     context = EvaluationContext(network, shelters, demand, impedance, penalties, assignment)
-    selections = [_selection_for_mask(mask, count) for mask in range(1, 2 ** count)]
-    evaluations = (evaluate_individual(s, context) for s in selections)  # one alive at a time
+    # one set of flows alive at a time
     rows = tuple(
-        SubsetEvaluation(
-            selection=selection,
-            penalized_objective=evaluation.penalized_objective,
-            feasible=evaluation.feasible,
-            total_evacuation_time=evaluation.total_evacuation_time,
-        )
-        for selection, evaluation in zip(selections, evaluations)
+        replace(evaluate_individual(_selection_for_mask(mask, count), context), assignment=None)
+        for mask in range(1, 2 ** count)
     )
     best = min(
         range(len(rows)),

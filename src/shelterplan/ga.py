@@ -2,16 +2,16 @@
 
 Chromosomes are binary selection vectors; fitness is the penalized total
 evacuation time at the lower-level equilibrium the selection induces.
-Selection is linear-rank, crossover single-point, mutation single-bit (or
-per-bit when configured), with elitism. Runs are deterministic given the
-seed; each distinct chromosome is evaluated once, and its evaluation record
+Selection is linear-rank, crossover single-point, mutation single-bit,
+with elitism. Runs are deterministic given the seed; each distinct
+chromosome is evaluated once, and its evaluation, kept without the flows,
 serves both the cache and the evaluation log.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,10 +32,57 @@ from .problem import (
     ImpedanceParameter,
     PenaltyConfig,
     ShelterSet,
-    selection_to_string,
 )
 
 WORST_FITNESS = math.inf
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """The fitness of one selection: the penalized total evacuation time
+    at the equilibrium it induces, and the terms behind it.
+
+    A selection with no open shelter, or one that strands an origin, has
+    no assignment: it scores WORST_FITNESS, `converged` is None and `note`
+    says why. `assignment` holds the flows and is not serialized; the GA
+    log and the enumeration keep records without it.
+    """
+
+    selection: tuple[int, ...]
+    penalized_objective: float
+    feasible: bool
+    total_evacuation_time: Optional[float]
+    total_excess: float = 0.0
+    converged: Optional[bool] = None
+    note: str = ""
+    assignment: Optional[AssignmentResult] = field(default=None, metadata={"json": False})
+
+
+def _score(
+    network: Network,
+    shelters: ShelterSet,
+    result: AssignmentResult,
+    penalties: PenaltyConfig,
+) -> Evaluation:
+    """The evaluation of `shelters.selection` given its solved assignment:
+    the one place the penalized objective is computed."""
+    shelter_excess, link_excess = constraint_violations(result, shelters, network)
+    total_time = total_evacuation_time(network, result)
+    shelter_total = sum(shelter_excess.values())
+    link_total = sum(link_excess.values())
+    return Evaluation(
+        selection=shelters.selection,
+        penalized_objective=(
+            total_time
+            + penalties.alpha_shelter * shelter_total
+            + penalties.beta_link * link_total
+        ),
+        feasible=(shelter_total == 0.0 and link_total == 0.0),
+        total_evacuation_time=total_time,
+        total_excess=shelter_total + link_total,
+        converged=result.converged,
+        assignment=result,
+    )
 
 
 def penalized_objective(
@@ -45,21 +92,7 @@ def penalized_objective(
     penalties: PenaltyConfig,
 ) -> float:
     """Total evacuation time plus weighted shelter/link capacity excess."""
-    shelter_excess, link_excess = constraint_violations(result, shelters, network)
-    return _penalized(
-        total_evacuation_time(network, result),
-        sum(shelter_excess.values()),
-        sum(link_excess.values()),
-        penalties,
-    )
-
-
-def _penalized(
-    total_time: float, shelter_total: float, link_total: float, penalties: PenaltyConfig
-) -> float:
-    """The one expression of the penalized objective, so that a fitness
-    evaluation equals `penalized_objective` bit for bit."""
-    return total_time + penalties.alpha_shelter * shelter_total + penalties.beta_link * link_total
+    return _score(network, shelters, result, penalties).penalized_objective
 
 
 @dataclass(frozen=True)
@@ -74,17 +107,6 @@ class EvaluationContext:
     assignment: AssignmentConfig
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    penalized_objective: float
-    assignment: Optional[AssignmentResult]
-    feasible: bool
-    total_evacuation_time: Optional[float] = None
-    shelter_excess_total: float = 0.0
-    link_excess_total: float = 0.0
-    note: str = ""
-
-
 def evaluate_individual(selection: Sequence[int], context: EvaluationContext) -> Evaluation:
     """Fitness of one selection: lower-level solve, then the penalized objective.
 
@@ -92,16 +114,9 @@ def evaluate_individual(selection: Sequence[int], context: EvaluationContext) ->
     sentinel worst fitness with a diagnostic note instead of crashing.
     Pure function of (selection, context).
     """
-    bits = tuple(int(b) for b in selection)
-    if len(bits) != len(context.shelters.candidates):
-        raise ValueError(
-            f"selection length {len(bits)} != candidate count {len(context.shelters.candidates)}"
-        )
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("selection must contain only 0/1 genes")
-    if not any(bits):
-        return Evaluation(WORST_FITNESS, None, False, note="no open shelters")
-    shelters = context.shelters.with_selection(bits)
+    shelters = context.shelters.with_selection(selection)
+    if not any(shelters.selection):
+        return Evaluation(shelters.selection, WORST_FITNESS, False, None, note="no open shelters")
     try:
         result = solve_lower_level(
             context.network,
@@ -111,32 +126,8 @@ def evaluate_individual(selection: Sequence[int], context: EvaluationContext) ->
             context.assignment,
         )
     except (InfeasibleOriginError, UnreachablePairError) as exc:
-        return Evaluation(WORST_FITNESS, None, False, note=str(exc))
-    shelter_excess, link_excess = constraint_violations(result, shelters, context.network)
-    total_time = total_evacuation_time(context.network, result)
-    shelter_total = sum(shelter_excess.values())
-    link_total = sum(link_excess.values())
-    return Evaluation(
-        penalized_objective=_penalized(total_time, shelter_total, link_total, context.penalties),
-        assignment=result,
-        feasible=(shelter_total == 0.0 and link_total == 0.0),
-        total_evacuation_time=total_time,
-        shelter_excess_total=shelter_total,
-        link_excess_total=link_total,
-    )
-
-
-@dataclass(frozen=True)
-class EvaluationRecord:
-    """One log row per distinct chromosome the search evaluated."""
-
-    selection: str
-    penalized_objective: float
-    feasible: bool
-    total_excess: float
-    total_evacuation_time: Optional[float]
-    converged: Optional[bool]
-    note: str = ""
+        return Evaluation(shelters.selection, WORST_FITNESS, False, None, note=str(exc))
+    return _score(context.network, shelters, result, context.penalties)
 
 
 @dataclass(frozen=True)
@@ -165,44 +156,32 @@ class SolveReport:
     shelter_attraction: dict[str, float]
     history: tuple[GenerationStats, ...]
     assignment_diagnostics: dict[str, float | int | bool]
-    evaluation_log: tuple[EvaluationRecord, ...]
+    evaluation_log: tuple[Evaluation, ...]
     best_assignment: Optional[AssignmentResult] = None
 
 
 def _evaluate_population(
     population: list[tuple[int, ...]],
     context: EvaluationContext,
-    cache: dict[tuple[int, ...], EvaluationRecord],
-) -> list[EvaluationRecord]:
-    """Records for the population, evaluating each chromosome on first sight.
+    cache: dict[tuple[int, ...], Evaluation],
+) -> list[Evaluation]:
+    """Evaluations for the population, each chromosome solved on first sight.
 
     The cache keeps insertion order, so its values are the evaluation log
     in first-encounter order.
     """
     for bits in population:
         if bits not in cache:
-            evaluation = evaluate_individual(bits, context)
-            result = evaluation.assignment
-            cache[bits] = EvaluationRecord(
-                selection=selection_to_string(bits),
-                penalized_objective=evaluation.penalized_objective,
-                feasible=evaluation.feasible,
-                total_excess=evaluation.shelter_excess_total + evaluation.link_excess_total,
-                total_evacuation_time=evaluation.total_evacuation_time,
-                converged=result.converged if result is not None else None,
-                note=evaluation.note,
-            )
+            cache[bits] = replace(evaluate_individual(bits, context), assignment=None)
     return [cache[bits] for bits in population]
 
 
 def _mutate(bits: tuple[int, ...], rng: np.random.Generator, ga: GAConfig) -> tuple[int, ...]:
-    if ga.mutation_mode == "individual":
-        if rng.random() < ga.mutation_probability:
-            j = int(rng.integers(len(bits)))
-            return bits[:j] + (1 - bits[j],) + bits[j + 1 :]
-        return bits
-    flips = rng.random(len(bits)) < ga.mutation_probability
-    return tuple(1 - b if flip else b for b, flip in zip(bits, flips))
+    """With probability ga.mutation_probability, flip one uniformly chosen bit."""
+    if rng.random() < ga.mutation_probability:
+        j = int(rng.integers(len(bits)))
+        return bits[:j] + (1 - bits[j],) + bits[j + 1 :]
+    return bits
 
 
 def _next_generation(
@@ -268,7 +247,7 @@ def ga_solve(
     ]
     population[0] = (1,) * length  # guarantee the all-open individual is tried
 
-    cache: dict[tuple[int, ...], EvaluationRecord] = {}
+    cache: dict[tuple[int, ...], Evaluation] = {}
     history: list[GenerationStats] = []
     best_bits: Optional[tuple[int, ...]] = None
     best_fitness = math.inf
@@ -317,13 +296,3 @@ def ga_solve(
         evaluation_log=tuple(cache.values()),
         best_assignment=final.assignment,
     )
-
-
-def history_to_csv(report: SolveReport) -> str:
-    """Per-generation history as CSV text."""
-    lines = ["generation,best_fitness,mean_fitness,feasible_count"]
-    for row in report.history:
-        lines.append(
-            f"{row.generation},{row.best_fitness!r},{row.mean_fitness!r},{row.feasible_count}"
-        )
-    return "\n".join(lines) + "\n"

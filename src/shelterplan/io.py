@@ -19,7 +19,18 @@ dataclass's fields and their annotations:
   Optional[T]               — null or T; other unions pass through as is
   float, int, bool          — coerced to the annotated type on read
 A key missing on read takes the field's default; canonical_json writes
-sorted keys, so equal records give equal bytes. CSV formats are separate.
+sorted keys, so equal records give equal bytes.
+
+Rows of one result dataclass (study rows, GA history, enumeration
+evaluations) go to CSV through to_csv / from_csv, driven by the same
+fields:
+  field order is column order, after one header line
+  dict[str, V]              — one column per key, headed by the key (at
+                              most one such field per row type)
+  any other field           — one column, headed by the field name
+  cell                      — str() of the field's JSON value; "" for null
+A column missing on read takes the field's default, as a missing JSON key
+does.
 
 All writes are whole-file atomic (write to a temp file, then rename).
 """
@@ -42,8 +53,8 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .assignment import AssignmentResult
-from .enumeration import EnumerationReport, SubsetEvaluation
-from .ga import SolveReport
+from .enumeration import EnumerationReport
+from .ga import Evaluation, SolveReport
 from .network import Link, Network, Node, validate_network
 from .problem import (
     AssignmentConfig,
@@ -221,20 +232,17 @@ def load_scenario(path: str | os.PathLike) -> DemandScenario:
         raise ProblemLoadError(f"{p}: {exc}") from None
 
 
+_CONFIG_SECTIONS = {
+    "impedance": ImpedanceParameter,
+    "penalties": PenaltyConfig,
+    "ga": GAConfig,
+    "assignment": AssignmentConfig,
+}
+# dotted key -> value type, from the config dataclasses' annotations
 _CONFIG_SCHEMA: dict[str, type] = {
-    "impedance.beta": float,
-    "penalties.alpha_shelter": float,
-    "penalties.beta_link": float,
-    "ga.population_size": int,
-    "ga.max_generations": int,
-    "ga.reproduction_rate": float,
-    "ga.mutation_probability": float,
-    "ga.rng_seed": int,
-    "ga.elitism_count": int,
-    "ga.mutation_mode": str,
-    "assignment.max_iterations": int,
-    "assignment.gap_tolerance": float,
-    "assignment.step_rule": str,
+    f"{section}.{name}": hint
+    for section, cls in _CONFIG_SECTIONS.items()
+    for name, hint in typing.get_type_hints(cls).items()
 }
 
 
@@ -269,13 +277,9 @@ def _configs_from_values(
         return {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith(prefix + ".")}
 
     try:
-        impedance = ImpedanceParameter(**section("impedance"))
-        penalties = PenaltyConfig(**section("penalties"))
-        ga = GAConfig(**section("ga"))
-        assignment = AssignmentConfig(**section("assignment"))
+        return tuple(cls(**section(prefix)) for prefix, cls in _CONFIG_SECTIONS.items())
     except (TypeError, ValueError) as exc:
         raise ProblemLoadError(f"{where}: {exc}") from None
-    return impedance, penalties, ga, assignment
 
 
 def load_config(
@@ -404,9 +408,13 @@ def from_jsonable(tp: object, doc: object) -> object:
     if doc is None:
         return None
     if dataclasses.is_dataclass(tp):
-        return tp(**{
+        values = {
             name: from_jsonable(hint, doc[name]) for name, hint in _json_fields(tp) if name in doc
-        })
+        }
+        try:
+            return tp(**values)
+        except TypeError as exc:  # a key whose field has no default is missing
+            raise ValueError(f"{tp.__name__}: {exc}") from None
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         inner = _optional_inner(tp)
@@ -436,35 +444,100 @@ solve_report_from_dict = functools.partial(from_jsonable, SolveReport)
 enumeration_report_from_dict = functools.partial(from_jsonable, EnumerationReport)
 
 
+def _spread_field(tp: type) -> Optional[str]:
+    """The dict[str, V] field of row type `tp`, which spreads over one CSV
+    column per key; None when it has none."""
+    return next((name for name, hint in _json_fields(tp) if typing.get_origin(hint) is dict), None)
+
+
+def _csv_header(tp: type, keys: Sequence[str]) -> list[str]:
+    """Columns of row type `tp`, with `keys` for its spread field."""
+    spread = _spread_field(tp)
+    return [c for name, _ in _json_fields(tp) for c in (keys if name == spread else (name,))]
+
+
+def _csv_cell(value: object) -> str:
+    return "" if value is None else str(value)
+
+
+def _from_cell(cell: str, hint: object) -> object:
+    """The JSON value of a CSV cell, read by its field's annotation."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if cell == "":
+            return None
+        hint = _optional_inner(hint)
+    if hint is bool:
+        if cell not in ("True", "False"):
+            raise ValueError(f"not a bool: {cell!r}")
+        return cell == "True"
+    return hint(cell) if hint in (float, int) else cell
+
+
+def to_csv(rows: Sequence, tp: type, **extra: Sequence) -> str:
+    """CSV text of `rows`, instances of dataclass `tp`, under a header line.
+
+    Each keyword appends one column of per-row values; the module
+    docstring lists the format rules.
+    """
+    docs = [to_jsonable(row, tp) for row in rows]
+    spread = _spread_field(tp)
+    keys = list(docs[0][spread]) if spread and docs else []
+    buffer = _io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(_csv_header(tp, keys) + list(extra))
+    for doc, *more in zip(docs, *extra.values(), strict=True):
+        if spread and list(doc[spread]) != keys:
+            raise ValueError(f"every row needs the same {spread} keys")
+        cells = [
+            value
+            for name, _ in _json_fields(tp)
+            for value in (doc[name].values() if name == spread else (doc[name],))
+        ]
+        writer.writerow([_csv_cell(value) for value in cells + more])
+    return buffer.getvalue()
+
+
+def from_csv(tp: type, text: str, **extra: list) -> list:
+    """Rows of dataclass `tp` from the text to_csv writes.
+
+    Each keyword names one trailing column, and its list receives that
+    column's cells as text.
+    """
+    table = [record for record in csv.reader(_io.StringIO(text)) if record]
+    if not table:
+        raise ValueError(f"{tp.__name__} CSV has no header")
+    header, body = table[0], table[1:]
+    own = header[: len(header) - len(extra)]
+    hints = dict(_json_fields(tp))
+    spread = _spread_field(tp)
+    keys = [column for column in own if column not in hints]  # the spread field's
+    if header != [c for c in _csv_header(tp, keys) if c in own] + list(extra):
+        raise ValueError(f"unrecognized {tp.__name__} CSV header: {header}")
+    rows = []
+    for record in body:
+        if len(record) != len(header):
+            raise ValueError(f"{tp.__name__} CSV row has {len(record)} cells, header {len(header)}")
+        doc: dict[str, object] = {} if spread is None else {spread: {}}
+        for column, cell in zip(own, record):
+            if column in hints:
+                doc[column] = _from_cell(cell, hints[column])
+            else:
+                doc[spread][column] = _from_cell(cell, typing.get_args(hints[spread])[1])
+        rows.append(from_jsonable(tp, doc))
+        for column, cell in zip(extra.values(), record[len(own):]):
+            column.append(cell)
+    return rows
+
+
 def enumeration_report_to_csv(report: EnumerationReport) -> str:
-    lines = ["selection,penalized_objective,feasible,total_evacuation_time,is_best"]
-    for i, e in enumerate(report.evaluations):
-        time_text = repr(e.total_evacuation_time) if e.total_evacuation_time is not None else ""
-        lines.append(
-            f"{selection_to_string(e.selection)},{e.penalized_objective!r},"
-            f"{e.feasible},{time_text},{i == report.best}"
-        )
-    return "\n".join(lines) + "\n"
+    flags = [i == report.best for i in range(len(report.evaluations))]
+    return to_csv(report.evaluations, Evaluation, is_best=flags)
 
 
 def enumeration_report_from_csv(text: str) -> EnumerationReport:
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != "selection,penalized_objective,feasible,total_evacuation_time,is_best":
-        raise ValueError("unrecognized enumeration CSV header")
-    rows = []
-    best = []
-    for i, line in enumerate(lines[1:]):
-        selection, objective, feasible, time_text, is_best = line.split(",")
-        rows.append(
-            SubsetEvaluation(
-                selection=selection_from_string(selection),
-                penalized_objective=float(objective),
-                feasible=(feasible == "True"),
-                total_evacuation_time=float(time_text) if time_text else None,
-            )
-        )
-        if is_best == "True":
-            best.append(i)
+    is_best: list[str] = []
+    evaluations = from_csv(Evaluation, text, is_best=is_best)
+    best = [i for i, cell in enumerate(is_best) if cell == "True"]
     if len(best) != 1:
         raise ValueError(f"enumeration CSV needs exactly one is_best=True row, found {len(best)}")
-    return EnumerationReport(evaluations=tuple(rows), best=best[0])
+    return EnumerationReport(evaluations=tuple(evaluations), best=best[0])

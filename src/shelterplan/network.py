@@ -121,10 +121,6 @@ class Network:
         return np.array([l.capacity_vph for l in self.sorted_links], dtype=float)
 
     @cached_property
-    def saturation_array(self) -> np.ndarray:
-        return np.array([l.max_saturation for l in self.sorted_links], dtype=float)
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per node index: outgoing (link_index, head_node_index), ascending link index.
 

@@ -46,7 +46,10 @@ class ShelterSet:
             raise ValueError("selection must contain only 0/1 bits")
 
     def with_selection(self, selection: Sequence[int]) -> "ShelterSet":
-        return replace(self, selection=tuple(int(b) for b in selection))
+        bits = tuple(int(b) for b in selection)
+        if not bits:  # () would read as the all-open default
+            raise ValueError(f"selection length 0 != candidate count {len(self.candidates)}")
+        return replace(self, selection=bits)
 
     def open_ids(self) -> tuple[str, ...]:
         return tuple(
@@ -127,18 +130,13 @@ class PenaltyConfig:
                 raise ValueError("penalty weights must be finite and >= 0")
 
 
-MUTATION_MODES = ("individual", "per-bit")
-
-
 @dataclass(frozen=True)
 class GAConfig:
     """Genetic-algorithm controls.
 
     Defaults are population 20, 50 generations, 60% reproduction rate and
-    40% mutation probability. mutation_mode "individual" flips one
-    uniformly chosen bit with probability mutation_probability per
-    individual; "per-bit" flips each bit independently with that
-    probability.
+    40% mutation probability. Mutation flips one uniformly chosen bit with
+    probability mutation_probability per individual.
     """
 
     population_size: int = 20
@@ -147,7 +145,6 @@ class GAConfig:
     mutation_probability: float = 0.4
     rng_seed: int = 0
     elitism_count: int = 1
-    mutation_mode: str = "individual"
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -160,8 +157,6 @@ class GAConfig:
             raise ValueError("mutation_probability must be in [0, 1]")
         if not (0 <= self.elitism_count < self.population_size):
             raise ValueError("elitism_count must satisfy 0 <= elitism_count < population_size")
-        if self.mutation_mode not in MUTATION_MODES:
-            raise ValueError(f"mutation_mode must be one of {MUTATION_MODES}")
 
 
 def selection_to_string(selection: Sequence[int]) -> str:

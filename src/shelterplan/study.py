@@ -9,8 +9,6 @@ and flagged as an estimate in all renderings.
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 import math
 import warnings
@@ -20,14 +18,9 @@ from typing import Optional, Sequence
 
 from .assignment import AssignmentResult
 from .ga import SolveReport, ga_solve
-from .io import ProblemBundle, canonical_json, from_jsonable, to_jsonable
+from .io import ProblemBundle, canonical_json, from_csv, from_jsonable, to_csv, to_jsonable
 from .network import Network, shortest_path_tree
-from .problem import (
-    DemandScenario,
-    ShelterSet,
-    selection_from_string,
-    selection_to_string,
-)
+from .problem import DemandScenario, ShelterSet, selection_to_string
 
 CLEARANCE_ROUND_MIN = 5.0
 
@@ -219,26 +212,7 @@ def render_report(rows: Sequence[ScenarioResultRow], format: str = "table") -> s
         return canonical_json([to_jsonable(row) for row in rows])
 
     if format == "csv":
-        buffer = _io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            ["scenario", *shelter_ids, "total_time_veh_min", "total_time_veh_h",
-             "clearance_min", "selection", "feasible", "error"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.scenario,
-                    *[repr(row.attraction[sid]) for sid in shelter_ids],
-                    repr(row.total_time_veh_min),
-                    repr(row.total_time_veh_h),
-                    repr(row.clearance_min),
-                    selection_to_string(row.selection),
-                    row.feasible,
-                    row.error if row.error is not None else "",
-                ]
-            )
-        return buffer.getvalue()
+        return to_csv(rows, ScenarioResultRow)
 
     header = [
         "scenario",
@@ -279,33 +253,7 @@ def rows_from_json(text: str) -> list[ScenarioResultRow]:
 
 
 def rows_from_csv(text: str) -> list[ScenarioResultRow]:
-    reader = csv.reader(_io.StringIO(text))
-    header = next(reader)
-    fixed_tail = ["total_time_veh_min", "total_time_veh_h", "clearance_min",
-                  "selection", "feasible", "error"]
-    if header[:1] != ["scenario"] or header[-6:] != fixed_tail:
-        raise ValueError("unrecognized results CSV header")
-    shelter_ids = header[1:-6]
-    rows = []
-    for record in reader:
-        if not record:
-            continue
-        scenario, rest = record[0], record[1:]
-        rates = rest[: len(shelter_ids)]
-        total_min, total_h, clearance, selection, feasible, error = rest[len(shelter_ids):]
-        rows.append(
-            ScenarioResultRow(
-                scenario=scenario,
-                attraction={sid: float(v) for sid, v in zip(shelter_ids, rates)},
-                total_time_veh_min=float(total_min),
-                total_time_veh_h=float(total_h),
-                clearance_min=float(clearance),
-                selection=selection_from_string(selection),
-                feasible=(feasible == "True"),
-                error=error if error else None,
-            )
-        )
-    return rows
+    return from_csv(ScenarioResultRow, text)
 
 
 def load_rows(path) -> list[ScenarioResultRow]:

@@ -8,12 +8,12 @@ from shelterplan import ga as ga_module
 from shelterplan.assignment import AssignmentResult
 from shelterplan.ga import (
     EvaluationContext,
+    GenerationStats,
     evaluate_individual,
     ga_solve,
-    history_to_csv,
     penalized_objective,
 )
-from shelterplan.io import solve_report_to_dict
+from shelterplan.io import solve_report_to_dict, to_csv
 from shelterplan.problem import (
     AssignmentConfig,
     CandidateShelter,
@@ -22,7 +22,6 @@ from shelterplan.problem import (
     ImpedanceParameter,
     PenaltyConfig,
     ShelterSet,
-    selection_to_string,
 )
 
 from conftest import load_instance, make_network
@@ -242,7 +241,7 @@ def test_cache_evaluates_each_distinct_chromosome_once(monkeypatch):
     # one call per log entry, plus the final re-evaluation of the best
     assert len(calls) == len(log) + 1
     assert len({r.selection for r in log}) == len(log)
-    assert [selection_to_string(c) for c in calls[:-1]] == [r.selection for r in log]
+    assert calls[:-1] == [r.selection for r in log]
     chromosomes = len(report.history) * GAConfig().population_size
     assert len(log) < chromosomes  # the cache served repeats
 
@@ -271,7 +270,7 @@ def test_every_evaluated_chromosome_is_valid():
     assert report.evaluation_log  # something was evaluated
     for record in report.evaluation_log:
         assert len(record.selection) == 4
-        assert set(record.selection) <= {"0", "1"}
+        assert set(record.selection) <= {0, 1}
 
 
 def test_best_objective_matches_fresh_reevaluation():
@@ -304,12 +303,6 @@ def test_attraction_zero_for_unselected_shelters():
     for candidate, bit in zip(bundle.shelters.candidates, report.best_selection):
         if not bit:
             assert report.shelter_attraction[candidate.node_id] == 0.0
-
-
-def test_per_bit_mutation_mode_runs_deterministically():
-    first = _desk_report(seed=8, mutation_mode="per-bit", max_generations=10)
-    second = _desk_report(seed=8, mutation_mode="per-bit", max_generations=10)
-    assert solve_report_to_dict(first) == solve_report_to_dict(second)
 
 
 def test_invalid_network_fails_before_search():
@@ -376,7 +369,7 @@ def test_parent_draws_match_rng_choice(population_size, seed):
         dict(reproduction_rate=1.5),
         dict(mutation_probability=-0.1),
         dict(elitism_count=20),
-        dict(mutation_mode="sometimes"),
+        dict(max_generations=0),
     ],
 )
 def test_invalid_ga_config_rejected(kwargs):
@@ -386,7 +379,7 @@ def test_invalid_ga_config_rejected(kwargs):
 
 def test_history_csv_round_trips_fields():
     report = _desk_report(seed=1, max_generations=5, population_size=6)
-    text = history_to_csv(report)
+    text = to_csv(report.history, GenerationStats)
     lines = text.strip().splitlines()
     assert lines[0] == "generation,best_fitness,mean_fitness,feasible_count"
     assert len(lines) == 6

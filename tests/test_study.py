@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -194,6 +195,23 @@ def test_single_row_table_has_header_and_one_data_row():
     lines = [l for l in text.splitlines() if l.strip()]
     assert len(lines) == 4  # header, separator, one row, footnote
     assert lines[0].startswith("scenario")
+
+
+def test_csv_header_is_checked():
+    lines = render_report(fixture_rows(), "csv").splitlines(keepends=True)
+    swapped = lines[0].replace("selection,feasible", "feasible,selection")
+    with pytest.raises(ValueError, match="unrecognized"):
+        rows_from_csv(swapped + "".join(lines[1:]))
+    # a column whose field has no default may not be left out
+    with pytest.raises(ValueError, match="scenario"):
+        rows_from_csv("".join(line.split(",", 1)[1] for line in lines))
+
+
+def test_json_row_without_a_required_key_is_rejected():
+    doc = json.loads(render_report(fixture_rows(), "json"))
+    del doc[0]["scenario"]
+    with pytest.raises(ValueError, match="scenario"):
+        rows_from_json(json.dumps(doc))
 
 
 def test_error_rows_render_the_error():
