@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .assignment import InfeasibleOriginError, UnreachablePairError, solve_lower_level
+from .assignment import InfeasibleOriginError, solve_lower_level
 from .enumeration import exhaustive_solve
 from .ga import ga_solve
 from .io import (
@@ -200,7 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ProblemLoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InfeasibleOriginError, UnreachablePairError, ValueError) as exc:
+    except (InfeasibleOriginError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVE
 

@@ -3,9 +3,12 @@
 Chromosomes are binary selection vectors; fitness is the penalized total
 evacuation time at the lower-level equilibrium the selection induces.
 Selection is linear-rank, crossover single-point, mutation single-bit,
-with elitism. Runs are deterministic given the seed; each distinct
-chromosome is evaluated once, and its evaluation, kept without the flows,
-serves both the cache and the evaluation log.
+with elitism, at the published rates (ELITES, REPRODUCTION_RATE,
+MUTATION_PROBABILITY): constants, since no instance varies them and the
+elite keeps the per-generation best fitness from rising. Runs are
+deterministic given the seed; each distinct chromosome is evaluated once,
+and its evaluation, kept without the flows, serves both the cache and
+the evaluation log.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 from .assignment import (
     AssignmentResult,
     InfeasibleOriginError,
-    UnreachablePairError,
     constraint_violations,
     solve_lower_level,
     total_evacuation_time,
@@ -35,6 +37,11 @@ from .problem import (
 )
 
 WORST_FITNESS = math.inf
+
+# the published GA parameters
+ELITES = 1
+REPRODUCTION_RATE = 0.6
+MUTATION_PROBABILITY = 0.4
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,7 @@ def evaluate_individual(selection: Sequence[int], context: EvaluationContext) ->
             context.impedance,
             context.assignment,
         )
-    except (InfeasibleOriginError, UnreachablePairError) as exc:
+    except InfeasibleOriginError as exc:
         return Evaluation(shelters.selection, WORST_FITNESS, False, None, note=str(exc))
     return _score(context.network, shelters, result, context.penalties)
 
@@ -146,7 +153,8 @@ class SolveReport:
     best_selection; shelter_attraction maps every candidate to the
     equilibrium inflow it receives under the best selection (zero when
     unselected). evaluation_log has one entry per distinct chromosome in
-    first-encounter order.
+    first-encounter order. best_assignment holds the best selection's
+    equilibrium, with its relative_gap, iterations and converged flag.
     """
 
     best_selection: tuple[int, ...]
@@ -155,7 +163,6 @@ class SolveReport:
     feasible: bool
     shelter_attraction: dict[str, float]
     history: tuple[GenerationStats, ...]
-    assignment_diagnostics: dict[str, float | int | bool]
     evaluation_log: tuple[Evaluation, ...]
     best_assignment: Optional[AssignmentResult] = None
 
@@ -176,9 +183,9 @@ def _evaluate_population(
     return [cache[bits] for bits in population]
 
 
-def _mutate(bits: tuple[int, ...], rng: np.random.Generator, ga: GAConfig) -> tuple[int, ...]:
-    """With probability ga.mutation_probability, flip one uniformly chosen bit."""
-    if rng.random() < ga.mutation_probability:
+def _mutate(bits: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
+    """With probability MUTATION_PROBABILITY, flip one uniformly chosen bit."""
+    if rng.random() < MUTATION_PROBABILITY:
         j = int(rng.integers(len(bits)))
         return bits[:j] + (1 - bits[j],) + bits[j + 1 :]
     return bits
@@ -188,12 +195,11 @@ def _next_generation(
     population: list[tuple[int, ...]],
     fitness: list[float],
     rng: np.random.Generator,
-    ga: GAConfig,
 ) -> list[tuple[int, ...]]:
     n = len(population)
     length = len(population[0])
     order = sorted(range(n), key=lambda i: (fitness[i], population[i]))
-    elites = [population[i] for i in order[: ga.elitism_count]]
+    elites = [population[i] for i in order[:ELITES]]
     weights = np.empty(n)
     for position, i in enumerate(order):
         weights[i] = n - position  # linear rank: best n, worst 1
@@ -205,8 +211,8 @@ def _next_generation(
     def pick() -> tuple[int, ...]:
         return population[int(cdf.searchsorted(rng.random(), side="right"))]
 
-    slots = n - ga.elitism_count
-    crossover_slots = round(ga.reproduction_rate * slots)
+    slots = n - ELITES
+    crossover_slots = round(REPRODUCTION_RATE * slots)
     children: list[tuple[int, ...]] = []
     for slot in range(slots):
         if slot < crossover_slots and length >= 2:
@@ -215,7 +221,7 @@ def _next_generation(
             child = mother[:cut] + father[cut:]
         else:
             child = pick()
-        children.append(_mutate(child, rng, ga))
+        children.append(_mutate(child, rng))
     return elites + children
 
 
@@ -268,21 +274,15 @@ def ga_solve(
             best_bits = population[gen_best]
             best_fitness = fitness[gen_best]
         if generation < ga.max_generations - 1:
-            population = _next_generation(population, fitness, rng, ga)
+            population = _next_generation(population, fitness, rng)
 
     assert best_bits is not None
     final = evaluate_individual(best_bits, context)
     attraction = {c.node_id: 0.0 for c in shelters.candidates}
-    diagnostics: dict[str, float | int | bool] = {}
     if final.assignment is not None:
         for (_, shelter), flow in final.assignment.od_flows.items():
             if shelter in attraction:
                 attraction[shelter] += flow
-        diagnostics = {
-            "relative_gap": final.assignment.relative_gap,
-            "iterations": final.assignment.iterations,
-            "converged": final.assignment.converged,
-        }
     return SolveReport(
         best_selection=best_bits,
         best_penalized_objective=final.penalized_objective,
@@ -292,7 +292,6 @@ def ga_solve(
         feasible=final.feasible,
         shelter_attraction=attraction,
         history=tuple(history),
-        assignment_diagnostics=diagnostics,
         evaluation_log=tuple(cache.values()),
         best_assignment=final.assignment,
     )

@@ -16,10 +16,13 @@ dataclass's fields and their annotations:
   dict[tuple[str, str], V]  — object nested by the first key (origin ->
                               shelter -> value)
   dict[str, V]              — object
-  Optional[T]               — null or T; other unions pass through as is
-  float, int, bool          — coerced to the annotated type on read
-A key missing on read takes the field's default; canonical_json writes
-sorted keys, so equal records give equal bytes.
+  Optional[T]               — null or T
+  float, int, bool, str     — number, integer, true/false, string
+Reads are strict: a value is accepted only when its JSON type matches the
+annotation (a bool is not a number, 2.5 is not an integer, null only fills
+an Optional), and anything else raises ValueError naming the type and the
+field. A key missing on read takes the field's default; canonical_json
+writes sorted keys, so equal records give equal bytes.
 
 Rows of one result dataclass (study rows, GA history, enumeration
 evaluations) go to CSV through to_csv / from_csv, driven by the same
@@ -44,6 +47,7 @@ import io as _io
 import json
 import math
 import os
+import reprlib
 import tempfile
 import types
 import typing
@@ -52,9 +56,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .assignment import AssignmentResult
 from .enumeration import EnumerationReport
-from .ga import Evaluation, SolveReport
+from .ga import Evaluation
 from .network import Link, Network, Node, validate_network
 from .problem import (
     AssignmentConfig,
@@ -366,9 +369,8 @@ def _json_fields(cls: type) -> tuple[tuple[str, object], ...]:
 
 
 def _optional_inner(tp: object) -> object:
-    """T for Optional[T]; None for any other union (its values pass through)."""
-    args = [a for a in typing.get_args(tp) if a is not type(None)]
-    return args[0] if len(args) == 1 else None
+    """T for Optional[T]."""
+    return next(a for a in typing.get_args(tp) if a is not type(None))
 
 
 def to_jsonable(value: object, tp: object = None) -> object:
@@ -385,8 +387,7 @@ def to_jsonable(value: object, tp: object = None) -> object:
         return {name: to_jsonable(getattr(value, name), hint) for name, hint in _json_fields(tp)}
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
-        inner = _optional_inner(tp)
-        return value if inner is None else to_jsonable(value, inner)
+        return to_jsonable(value, _optional_inner(tp))
     if origin is tuple:
         if args[0] is int:
             return selection_to_string(value)
@@ -402,46 +403,59 @@ def to_jsonable(value: object, tp: object = None) -> object:
     return value
 
 
+# per kind of JSON value: the Python types it reads as (a bool is only a
+# bool) and its name in a read error
+_JSON_KINDS = {
+    dict: (dict, "an object"), list: (list, "a list"), str: (str, "a string"),
+    bool: (bool, "true or false"), int: (int, "an integer"), float: ((int, float), "a number"),
+}
+
+
 def from_jsonable(tp: object, doc: object) -> object:
     """Rebuild a value of annotation `tp` (a result dataclass, say) from
-    the output of to_jsonable."""
-    if doc is None:
-        return None
-    if dataclasses.is_dataclass(tp):
-        values = {
-            name: from_jsonable(hint, doc[name]) for name, hint in _json_fields(tp) if name in doc
-        }
+    the output of to_jsonable; the module docstring lists the strict read
+    rule."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        return None if doc is None else from_jsonable(_optional_inner(tp), doc)
+    record = dataclasses.is_dataclass(tp)
+    if record or origin is dict:
+        kind = dict
+    elif origin is tuple:
+        kind = str if args[0] is int else list  # a selection is a 0/1 string
+    else:
+        kind = tp
+    accepted, name = _JSON_KINDS[kind]
+    if isinstance(doc, bool) != (kind is bool) or not isinstance(doc, accepted):
+        what = f"a {tp.__name__} object" if record else name
+        raise ValueError(f"expected {what}, got {reprlib.repr(doc)}")
+    if record:
+        values = {}
+        for name, hint in _json_fields(tp):
+            if name in doc:
+                try:
+                    values[name] = from_jsonable(hint, doc[name])
+                except (OverflowError, ValueError) as exc:  # float() of a huge integer
+                    raise ValueError(f"{tp.__name__}.{name}: {exc}") from None
         try:
             return tp(**values)
         except TypeError as exc:  # a key whose field has no default is missing
             raise ValueError(f"{tp.__name__}: {exc}") from None
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        inner = _optional_inner(tp)
-        return doc if inner is None else from_jsonable(inner, doc)
     if origin is tuple:
-        if args[0] is int:
-            return selection_from_string(doc)
-        return tuple(from_jsonable(args[0], item) for item in doc)
+        return selection_from_string(doc) if kind is str else tuple(
+            from_jsonable(args[0], item) for item in doc
+        )
     if origin is dict:
         key, item = args
         if typing.get_origin(key) is tuple:
-            return {
-                (outer, inner_key): from_jsonable(item, v)
-                for outer, row in doc.items()
-                for inner_key, v in row.items()
-            }
+            nested = from_jsonable(dict[str, dict[str, item]], doc)
+            return {(outer, k): v for outer, row in nested.items() for k, v in row.items()}
         return {k: from_jsonable(item, v) for k, v in doc.items()}
-    if tp in (float, int, bool):
-        return tp(doc)
-    return doc
+    return float(doc) if tp is float else doc
 
 
 # per-type names, for callers that import them
 assignment_result_to_dict = solve_report_to_dict = enumeration_report_to_dict = to_jsonable
-assignment_result_from_dict = functools.partial(from_jsonable, AssignmentResult)
-solve_report_from_dict = functools.partial(from_jsonable, SolveReport)
-enumeration_report_from_dict = functools.partial(from_jsonable, EnumerationReport)
 
 
 def _spread_field(tp: type) -> Optional[str]:
@@ -503,7 +517,10 @@ def from_csv(tp: type, text: str, **extra: list) -> list:
     Each keyword names one trailing column, and its list receives that
     column's cells as text.
     """
-    table = [record for record in csv.reader(_io.StringIO(text)) if record]
+    try:
+        table = [record for record in csv.reader(_io.StringIO(text)) if record]
+    except csv.Error as exc:
+        raise ValueError(f"{tp.__name__} CSV: {exc}") from None
     if not table:
         raise ValueError(f"{tp.__name__} CSV has no header")
     header, body = table[0], table[1:]

@@ -105,10 +105,6 @@ class Network:
         return tuple(l.id for l in self.sorted_links)
 
     @cached_property
-    def link_index(self) -> dict[str, int]:
-        return {lid: i for i, lid in enumerate(self.link_ids)}
-
-    @cached_property
     def links_by_id(self) -> dict[str, Link]:
         return {l.id: l for l in self.links}
 
@@ -154,15 +150,6 @@ class Network:
     def link_heads(self) -> tuple[int, ...]:
         """Per link index: the index of the link's head node (-1 if unknown)."""
         return tuple(self.node_index.get(link.to_node, -1) for link in self.sorted_links)
-
-    @cached_property
-    def incoming_links(self) -> dict[str, tuple[str, ...]]:
-        """Node id -> ids of links entering it (ascending link id)."""
-        inc: dict[str, list[str]] = {nid: [] for nid in self.node_ids}
-        for link in self.sorted_links:
-            if link.to_node in inc:
-                inc[link.to_node].append(link.id)
-        return {nid: tuple(ids) for nid, ids in inc.items()}
 
     def origin_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in sorted(self.nodes, key=lambda n: n.id) if n.kind == "origin")

@@ -132,31 +132,23 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Genetic-algorithm controls.
+    """Genetic-algorithm controls: population 20 and 50 generations by default.
 
-    Defaults are population 20, 50 generations, 60% reproduction rate and
-    40% mutation probability. Mutation flips one uniformly chosen bit with
-    probability mutation_probability per individual.
+    The published reproduction rate (0.6), mutation probability (0.4) and
+    single elite are the constants ga.REPRODUCTION_RATE,
+    ga.MUTATION_PROBABILITY and ga.ELITES, not settings: no instance varies
+    them, and without an elite the per-generation best fitness could rise.
     """
 
     population_size: int = 20
     max_generations: int = 50
-    reproduction_rate: float = 0.6
-    mutation_probability: float = 0.4
     rng_seed: int = 0
-    elitism_count: int = 1
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
-        if not (0 < self.reproduction_rate <= 1):
-            raise ValueError("reproduction_rate must be in (0, 1]")
-        if not (0 <= self.mutation_probability <= 1):
-            raise ValueError("mutation_probability must be in [0, 1]")
-        if not (0 <= self.elitism_count < self.population_size):
-            raise ValueError("elitism_count must satisfy 0 <= elitism_count < population_size")
 
 
 def selection_to_string(selection: Sequence[int]) -> str:

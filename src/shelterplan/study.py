@@ -58,10 +58,8 @@ def clearance_time(
     for sid in open_ids:
         if attracted[sid] <= 0:
             continue
-        inbound = sum(
-            network.links_by_id[lid].capacity_vph
-            for lid in network.incoming_links.get(sid, ())
-        )
+        incoming = network.reverse_adjacency[network.node_index[sid]]
+        inbound = sum(network.capacity_array[li] for li, _ in incoming)
         discharge_capacity = min(shelters.capacity_of(sid), inbound) if inbound > 0 else (
             shelters.capacity_of(sid)
         )
@@ -249,7 +247,7 @@ def render_report(rows: Sequence[ScenarioResultRow], format: str = "table") -> s
 
 
 def rows_from_json(text: str) -> list[ScenarioResultRow]:
-    return [from_jsonable(ScenarioResultRow, doc) for doc in json.loads(text)]
+    return list(from_jsonable(tuple[ScenarioResultRow, ...], json.loads(text)))
 
 
 def rows_from_csv(text: str) -> list[ScenarioResultRow]:
@@ -257,11 +255,13 @@ def rows_from_csv(text: str) -> list[ScenarioResultRow]:
 
 
 def load_rows(path) -> list[ScenarioResultRow]:
-    """Load stored result rows from a .json or .csv file."""
+    """Load stored result rows from a .json or .csv file; a file that
+    cannot be read or does not hold rows raises ValueError naming it."""
     p = Path(path)
-    text = p.read_text()
-    if p.suffix == ".json":
-        return rows_from_json(text)
-    if p.suffix == ".csv":
-        return rows_from_csv(text)
-    raise ValueError(f"{p}: expected a .json or .csv results file")
+    readers = {".json": rows_from_json, ".csv": rows_from_csv}
+    if p.suffix not in readers:
+        raise ValueError(f"{p}: expected a .json or .csv results file")
+    try:
+        return readers[p.suffix](p.read_text())
+    except (OSError, RecursionError, ValueError) as exc:
+        raise ValueError(f"{p}: {exc}") from None

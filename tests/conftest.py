@@ -95,9 +95,9 @@ def check_equilibrium_invariants(network, result, productions, beta, check_share
         assert row == pytest.approx(production, rel=1e-9)
     shelters = {s for (_, s) in result.od_flows}
     inflow = sum(
-        result.link_flows[lid]
+        result.link_flows[network.link_ids[li]]
         for shelter in shelters
-        for lid in network.incoming_links[shelter]
+        for li, _ in network.reverse_adjacency[network.node_index[shelter]]
     )
     total = sum(productions.values())
     assert inflow == pytest.approx(total, rel=1e-6)

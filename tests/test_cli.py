@@ -1,15 +1,18 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shelterplan
+from shelterplan.assignment import AssignmentResult
 from shelterplan.cli import build_parser, main
-from shelterplan.io import (
-    assignment_result_from_dict,
-    enumeration_report_from_csv,
-    enumeration_report_from_dict,
-    solve_report_from_dict,
-)
+from shelterplan.enumeration import EnumerationReport
+from shelterplan.ga import SolveReport
+from shelterplan.io import enumeration_report_from_csv, from_jsonable
 from shelterplan.study import load_rows, rows_from_json
 
 from conftest import DATA_DIR
@@ -53,7 +56,7 @@ def test_validate_bad_file_exits_1(tmp_path, capsys):
 def test_assign_writes_reloadable_result(tmp_path):
     out = tmp_path / "assignment.json"
     assert main(["assign", *toy_args("--out", str(out))]) == 0
-    result = assignment_result_from_dict(json.loads(out.read_text()))
+    result = from_jsonable(AssignmentResult, json.loads(out.read_text()))
     assert result.converged
     assert sum(result.od_flows.values()) == pytest.approx(1000.0)
 
@@ -61,7 +64,7 @@ def test_assign_writes_reloadable_result(tmp_path):
 def test_assign_with_selection(tmp_path):
     out = tmp_path / "assignment.json"
     assert main(["assign", *toy_args("--select", "10", "--out", str(out))]) == 0
-    result = assignment_result_from_dict(json.loads(out.read_text()))
+    result = from_jsonable(AssignmentResult, json.loads(out.read_text()))
     assert set(result.od_flows) == {("o", "s1")}
 
 
@@ -90,7 +93,7 @@ def test_assign_infeasible_selection_exits_2(tmp_path, capsys):
 def test_solve_writes_report(tmp_path):
     out = tmp_path / "report.json"
     assert main(["solve", *toy_args("--seed", "7", "--out", str(out))]) == 0
-    report = solve_report_from_dict(json.loads(out.read_text()))
+    report = from_jsonable(SolveReport, json.loads(out.read_text()))
     assert report.best_selection in {(1, 1), (1, 0), (0, 1)}
     assert report.feasible
 
@@ -124,7 +127,7 @@ def test_enumerate_json_and_csv(tmp_path):
     csv_out = tmp_path / "enum.csv"
     assert main(["enumerate", *toy_args("--out", str(json_out))]) == 0
     assert main(["enumerate", *toy_args("--format", "csv", "--out", str(csv_out))]) == 0
-    from_json = enumeration_report_from_dict(json.loads(json_out.read_text()))
+    from_json = from_jsonable(EnumerationReport, json.loads(json_out.read_text()))
     from_csv = enumeration_report_from_csv(csv_out.read_text())
     assert from_json == from_csv
     assert len(from_json.evaluations) == 3
@@ -182,3 +185,47 @@ def test_run_exits_2_when_a_scenario_fails_with_an_empty_message(monkeypatch, ca
     monkeypatch.setattr("shelterplan.study.ga_solve", out_of_memory)
     assert main(["run", *toy_args("--seed", "0")]) == 2
     assert "failed: MemoryError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["ga.elitism_count", "ga.reproduction_rate", "ga.mutation_probability"])
+def test_solve_with_a_fixed_ga_parameter_in_the_config_exits_1(tmp_path, capsys, key):
+    text = (TOY / "config.txt").read_text()
+    config = tmp_path / "config.txt"
+    config.write_text(text + f"{key} = 1\n")
+    args = toy_args("--seed", "0")
+    args[args.index("--config") + 1] = str(config)
+    assert main(["solve", *args]) == 1
+    line = len(text.splitlines()) + 1
+    assert f"error: {config}:{line}: unknown config key '{key}'" in capsys.readouterr().err
+
+
+GOOD_ROW = {
+    "scenario": "night", "attraction": {"s1": 600.0, "s2": 0.0}, "total_time_veh_min": 60.0,
+    "total_time_veh_h": 1.0, "clearance_min": 10.0, "selection": "10", "feasible": True,
+    "error": None,
+}
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("feasible.json", [dict(GOOD_ROW, feasible="false")], "feasible: expected true or false"),
+    ("total.json", [dict(GOOD_ROW, total_time_veh_min="60")], "total_time_veh_min: expected a number"),
+    ("selection.json", [dict(GOOD_ROW, selection=5)], "selection: expected a string"),
+    ("list_of_int.json", [5], "expected a ScenarioResultRow object, got 5"),
+    ("object.json", {}, "expected a list, got {}"),
+    ("missing.json", None, "No such file"),
+])
+def test_report_on_a_bad_rows_file_exits_2_without_a_traceback(tmp_path, name, content, message):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(json.dumps(content))
+    # the console script's entry point, in a fresh interpreter
+    src = str(Path(shelterplan.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "shelterplan.cli", "report", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: {path}: ") and done.stderr.count("\n") == 1
+    assert message in done.stderr

@@ -317,12 +317,12 @@ def test_invalid_network_fails_before_search():
                  AssignmentConfig())
 
 
-def next_generation_by_choice(population, fitness, rng, ga):
+def next_generation_by_choice(population, fitness, rng):
     """Reference: the generation step drawing each parent with rng.choice."""
     n = len(population)
     length = len(population[0])
     order = sorted(range(n), key=lambda i: (fitness[i], population[i]))
-    elites = [population[i] for i in order[: ga.elitism_count]]
+    elites = [population[i] for i in order[: ga_module.ELITES]]
     weights = np.empty(n)
     for position, i in enumerate(order):
         weights[i] = n - position
@@ -331,8 +331,8 @@ def next_generation_by_choice(population, fitness, rng, ga):
     def pick():
         return population[int(rng.choice(n, p=probabilities))]
 
-    slots = n - ga.elitism_count
-    crossover_slots = round(ga.reproduction_rate * slots)
+    slots = n - ga_module.ELITES
+    crossover_slots = round(ga_module.REPRODUCTION_RATE * slots)
     children = []
     for slot in range(slots):
         if slot < crossover_slots and length >= 2:
@@ -341,22 +341,21 @@ def next_generation_by_choice(population, fitness, rng, ga):
             child = mother[:cut] + father[cut:]
         else:
             child = pick()
-        children.append(ga_module._mutate(child, rng, ga))
+        children.append(ga_module._mutate(child, rng))
     return elites + children
 
 
 @pytest.mark.parametrize("population_size", [2, 3, 20, 37])
 @pytest.mark.parametrize("seed", [0, 1, 17])
 def test_parent_draws_match_rng_choice(population_size, seed):
-    ga = GAConfig(population_size=population_size, rng_seed=seed)
     setup = np.random.default_rng(1000 + seed)
     population = [tuple(int(b) for b in setup.integers(0, 2, size=6)) for _ in range(population_size)]
     # ties in fitness are broken by the chromosome, as in ga_solve
     fitness = [float(f) for f in setup.integers(0, 4, size=population_size)]
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(5):
-        expected = next_generation_by_choice(population, fitness, theirs, ga)
-        population = ga_module._next_generation(population, fitness, ours, ga)
+        expected = next_generation_by_choice(population, fitness, theirs)
+        population = ga_module._next_generation(population, fitness, ours)
         assert population == expected
         assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -365,10 +364,10 @@ def test_parent_draws_match_rng_choice(population_size, seed):
     "kwargs",
     [
         dict(population_size=1),
-        dict(reproduction_rate=0.0),
-        dict(reproduction_rate=1.5),
-        dict(mutation_probability=-0.1),
-        dict(elitism_count=20),
+        dict(population_size=0),
+        dict(population_size=-5),
+        dict(max_generations=-1),
+        dict(population_size=1, max_generations=0),
         dict(max_generations=0),
     ],
 )

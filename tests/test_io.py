@@ -2,19 +2,26 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shelterplan.assignment import solve_lower_level
-from shelterplan.enumeration import exhaustive_solve
-from shelterplan.ga import ga_solve
+from shelterplan.assignment import AssignmentResult, solve_lower_level
+from shelterplan.enumeration import EnumerationReport, exhaustive_solve
+from shelterplan.ga import (
+    ELITES,
+    MUTATION_PROBABILITY,
+    REPRODUCTION_RATE,
+    SolveReport,
+    ga_solve,
+)
 from shelterplan.io import (
+    _CONFIG_SCHEMA,
     ProblemLoadError,
-    assignment_result_from_dict,
     assignment_result_to_dict,
     canonical_json,
     enumeration_report_from_csv,
-    enumeration_report_from_dict,
     enumeration_report_to_csv,
     enumeration_report_to_dict,
+    from_jsonable,
     load_config,
     load_network,
     load_problem,
@@ -22,13 +29,15 @@ from shelterplan.io import (
     load_shelters,
     minutes_from_length,
     parse_config_text,
-    solve_report_from_dict,
     solve_report_to_dict,
+    to_jsonable,
     write_text_atomic,
 )
 from shelterplan.problem import GAConfig
+from shelterplan.study import ScenarioResultRow
 
 from conftest import DATA_DIR, load_instance
+from test_result_format import ENUMERATION, REPORT, RESULT, ROWS
 
 SANROCCO = DATA_DIR / "sanrocco_synthetic"
 
@@ -159,7 +168,7 @@ def test_defaults_match_published_parameters():
     impedance, penalties, ga, assignment = load_config(None)
     assert impedance.beta == 10.0
     assert (ga.population_size, ga.max_generations) == (20, 50)
-    assert (ga.reproduction_rate, ga.mutation_probability) == (0.6, 0.4)
+    assert (REPRODUCTION_RATE, MUTATION_PROBABILITY, ELITES) == (0.6, 0.4, 1)
     assert penalties.alpha_shelter == penalties.beta_link == 1e6
     assert assignment.max_iterations == 500
     assert assignment.gap_tolerance == 1e-5
@@ -204,6 +213,14 @@ def test_invalid_config_combination_is_structured(tmp_path):
     path.write_text("ga.population_size = 1\n")
     with pytest.raises(ProblemLoadError, match="population_size"):
         load_config(path)
+
+
+def test_config_schema_has_nine_keys():
+    assert sorted(_CONFIG_SCHEMA) == [
+        "assignment.gap_tolerance", "assignment.max_iterations", "assignment.step_rule",
+        "ga.max_generations", "ga.population_size", "ga.rng_seed",
+        "impedance.beta", "penalties.alpha_shelter", "penalties.beta_link",
+    ]
 
 
 @pytest.mark.parametrize("line", [
@@ -274,7 +291,7 @@ def test_assignment_result_round_trips():
     )
     doc = assignment_result_to_dict(result)
     text = canonical_json(doc)
-    back = assignment_result_from_dict(json.loads(text))
+    back = from_jsonable(AssignmentResult, json.loads(text))
     assert back.link_flows == result.link_flows
     assert back.od_flows == result.od_flows
     assert back.link_times == result.link_times
@@ -291,7 +308,7 @@ def test_solve_report_round_trips():
         bundle.penalties, GAConfig(rng_seed=5, max_generations=8), bundle.assignment,
     )
     text = canonical_json(solve_report_to_dict(report))
-    back = solve_report_from_dict(json.loads(text))
+    back = from_jsonable(SolveReport, json.loads(text))
     assert canonical_json(solve_report_to_dict(back)) == text
     assert back.best_selection == report.best_selection
     assert back.best_penalized_objective == report.best_penalized_objective
@@ -304,7 +321,7 @@ def test_enumeration_report_round_trips_json_and_csv():
         bundle.penalties, bundle.assignment,
     )
     text = canonical_json(enumeration_report_to_dict(report))
-    assert enumeration_report_from_dict(json.loads(text)) == report
+    assert from_jsonable(EnumerationReport, json.loads(text)) == report
     assert enumeration_report_from_csv(enumeration_report_to_csv(report)) == report
 
 
@@ -318,7 +335,7 @@ def test_sentinel_fitness_survives_json():
     if not any(math.isinf(r.penalized_objective) for r in report.evaluation_log):
         pytest.skip("no sentinel evaluation in this run")
     text = canonical_json(solve_report_to_dict(report))
-    back = solve_report_from_dict(json.loads(text))
+    back = from_jsonable(SolveReport, json.loads(text))
     assert canonical_json(solve_report_to_dict(back)) == text
 
 
@@ -347,7 +364,83 @@ def test_enumeration_json_best_outside_the_evaluations_is_rejected():
         ],
     }
     with pytest.raises(ValueError, match="best index 7"):
-        enumeration_report_from_dict(doc)
+        from_jsonable(EnumerationReport, doc)
     doc["best"] = -1
     with pytest.raises(ValueError, match="best index -1"):
-        enumeration_report_from_dict(doc)
+        from_jsonable(EnumerationReport, doc)
+
+
+# ---- strict JSON reads -------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=4,
+)
+# a valid document of each record type, written by the codec
+VALID_DOCS = {
+    type(record): json.loads(canonical_json(to_jsonable(record)))
+    for record in (ROWS[0], REPORT, ENUMERATION, RESULT)
+}
+
+
+def json_paths(doc, prefix=()):
+    """Every position in a JSON document, as a key/index path."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+PATHS = {tp: list(json_paths(doc)) for tp, doc in VALID_DOCS.items()}
+
+
+@settings(max_examples=2000)
+@given(value=JSON_VALUES, paths=st.tuples(*(st.sampled_from(PATHS[tp]) for tp in VALID_DOCS)))
+def test_from_jsonable_returns_a_record_or_raises_value_error(value, paths):
+    """Each record type reads an arbitrary JSON value, and a valid
+    document of its own with that value put anywhere inside it."""
+    for (tp, valid), path in zip(VALID_DOCS.items(), paths):
+        for doc in (value, replaced(valid, path, value)):
+            try:
+                record = from_jsonable(tp, doc)
+            except ValueError:
+                continue
+            assert isinstance(record, tp)
+            # what loads writes text that loads back to the same text
+            text = canonical_json(to_jsonable(record))
+            assert canonical_json(to_jsonable(from_jsonable(tp, json.loads(text)))) == text
+
+
+@pytest.mark.parametrize("tp, path, value, message", [
+    (ScenarioResultRow, ("feasible",), "false", r"ScenarioResultRow\.feasible: expected true or false"),
+    (ScenarioResultRow, ("feasible",), 1, r"ScenarioResultRow\.feasible: expected true or false"),
+    (ScenarioResultRow, ("total_time_veh_min",), True, "total_time_veh_min: expected a number"),
+    (ScenarioResultRow, ("total_time_veh_min",), "1.0", "total_time_veh_min: expected a number"),
+    (ScenarioResultRow, ("selection",), 5, r"ScenarioResultRow\.selection: expected a string"),
+    (ScenarioResultRow, ("attraction",), [], r"ScenarioResultRow\.attraction: expected an object"),
+    (ScenarioResultRow, ("scenario",), None, r"ScenarioResultRow\.scenario: expected a string"),
+    (AssignmentResult, ("iterations",), 2.0, r"AssignmentResult\.iterations: expected an integer"),
+    (AssignmentResult, ("od_flows", "o"), 1.0, r"AssignmentResult\.od_flows: expected an object"),
+    (EnumerationReport, ("evaluations",), {}, r"EnumerationReport\.evaluations: expected a list"),
+    (EnumerationReport, ("best",), False, r"EnumerationReport\.best: expected an integer"),
+    (SolveReport, ("history", 0, "generation"), 2.5,
+     r"SolveReport\.history: GenerationStats\.generation: expected an integer, got 2\.5"),
+])
+def test_a_value_of_the_wrong_json_type_names_the_field(tp, path, value, message):
+    with pytest.raises(ValueError, match=message):
+        from_jsonable(tp, replaced(VALID_DOCS[tp], path, value))
+
+
+def test_solve_report_written_with_assignment_diagnostics_still_loads():
+    doc = dict(VALID_DOCS[SolveReport], assignment_diagnostics={"converged": True, "iterations": 2})
+    assert from_jsonable(SolveReport, doc) == from_jsonable(SolveReport, VALID_DOCS[SolveReport])

@@ -207,6 +207,12 @@ def test_csv_header_is_checked():
         rows_from_csv("".join(line.split(",", 1)[1] for line in lines))
 
 
+def test_csv_cell_over_the_reader_limit_is_a_value_error():
+    header = render_report(fixture_rows(), "csv").splitlines()[0]
+    with pytest.raises(ValueError, match="field larger than field limit"):
+        rows_from_csv(header + "\n" + "x" * 200_000 + "\n")
+
+
 def test_json_row_without_a_required_key_is_rejected():
     doc = json.loads(render_report(fixture_rows(), "json"))
     del doc[0]["scenario"]
