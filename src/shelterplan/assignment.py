@@ -5,14 +5,20 @@ travel times and take minimum-time routes; congestion feeds back through
 the BPR link times. The solver is Evans' (1976) double-stage scheme, and
 each pass runs one array kernel:
 
-1. one shortest-path tree per open shelter, searched from the shelter
-   over the reversed graph: it gives every node's cost to that shelter
-   and its successor link toward it (on exact cost ties the lower link
-   id wins), so the origin x shelter cost matrix needs |open shelters|
-   searches, not |origins|;
+1. one shortest-path tree per open shelter: every node's cost to that
+   shelter and its successor link toward it (on exact cost ties the lower
+   link id wins), so the origin x shelter cost matrix needs |open
+   shelters| searches, not |origins|. The tree is split at the zones
+   (`network.CoreGraph`), the nodes with no incoming link, such as the
+   origins hanging off the roads by their connectors: one search per
+   shelter runs over the reversed graph of the other nodes (the core),
+   and one NumPy gather-add then prices every zone for all open shelters
+   at once through its out-links. The first pass of a solve runs at
+   free-flow times, so its core trees come from the network's cache;
 2. one logit split of that whole matrix;
-3. all-or-nothing loading of each shelter's column of the split onto
-   its tree, walking the tree from its far end back to the shelter;
+3. all-or-nothing loading of each shelter's column of the split: the
+   zones' flows go onto their out-links at once, and then each core tree
+   is walked from its far end back to the shelter;
 4. a blend with the current flows: successive averages, or an exact
    line search on the convex objective, which takes safeguarded Newton
    steps on its closed-form first and second derivatives along the blend
@@ -24,19 +30,14 @@ the dict-keyed public forms of the same kernel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .network import (
-    BPR_COEFFICIENT,
-    BPR_EXPONENT,
-    Network,
-    _dijkstra_indexed,
-    bpr_times_array,
-)
+from .network import BPR_COEFFICIENT, BPR_EXPONENT, Network, bpr_times_array
 from .problem import AssignmentConfig, DemandScenario, ImpedanceParameter, ShelterSet
 
 
@@ -92,13 +93,39 @@ def relative_gap(total_current: float, total_auxiliary: float) -> float:
     return diff / total_current
 
 
-def _shelter_trees(
-    network: Network, times: np.ndarray, shelter_idx: Sequence[int]
-) -> list[tuple[list[float], list[int], list[int]]]:
-    """Kernel step 1: per shelter index, (dist to it from every node,
-    successor link toward it, settle order) under link `times`."""
-    t = times.tolist()
-    return [_dijkstra_indexed(network.reverse_adjacency, t, si) for si in shelter_idx]
+def _shelter_costs(
+    network: Network,
+    trees: Sequence[tuple[list[float], list[int], list[int]]],
+    times: np.ndarray,
+    shelter_idx: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel step 1, the zone half: every node's cost to each shelter.
+
+    `trees` are the shelters' core trees (`Network.core_trees`). Returns
+    (cost, zone_succ): cost[s, p] is the cost to shelter s from the node
+    at position p of `Network.core`, with a last column of inf;
+    zone_succ[s, z] is zone z's out-link toward s, or -1 where the zone is
+    s or cannot reach it. One gather-add prices every zone through each
+    of its out-links; argmin takes the first minimum, so on an exact tie
+    the lower link id wins.
+    """
+    core = network.core
+    size = len(core.nodes)
+    cost = np.empty((len(trees), len(core.position) + 1))
+    cost[:, :size] = np.fromiter(
+        itertools.chain.from_iterable(dist for dist, _, _ in trees), float, len(trees) * size
+    ).reshape(len(trees), size)
+    cost[:, -1] = math.inf
+    reach = cost[:, core.zone_heads] + times[core.zone_links]
+    zone_cost = cost[:, size:-1] = reach.min(axis=2)
+    zone_succ = core.zone_links[np.arange(len(core.zones)), reach.argmin(axis=2)]
+    zone_succ[np.isinf(zone_cost)] = -1
+    for s, v in enumerate(shelter_idx):
+        p = core.position[v]
+        if p >= size:  # a shelter without an incoming link
+            cost[s, p] = 0.0
+            zone_succ[s, p - size] = -1
+    return cost, zone_succ
 
 
 def _logit_split(
@@ -118,32 +145,47 @@ def _logit_split(
     return productions[:, None] * weights / weights.sum(axis=1, keepdims=True)
 
 
-def _load_trees(
+def _load(
     network: Network,
     trees: Sequence[tuple[list[float], list[int], list[int]]],
+    zone_succ: np.ndarray,
     q: np.ndarray,
-    origin_idx: Sequence[int],
+    positions: np.ndarray,
 ) -> np.ndarray:
-    """Kernel step 3: link flows when origin i sends q[i, s] down tree s.
+    """Kernel step 3: link flows when the node at position positions[i] of
+    `Network.core` sends q[i, s] to shelter s along the kernel's trees.
 
-    Each origin's flow is put on its node; then the tree is walked in
-    reverse settle order, pushing each node's flow onto its successor link
-    and into that link's head node. Link times are > 0, so the head is
-    settled before the node and receives all its flow before its own
-    turn. The shelter itself (settled first) keeps what reaches it.
+    A zone's flow goes onto its out-link toward s and into that link's
+    head, for all zones and shelters at once; a core node's flow is put on
+    the node. Then each core tree is walked in reverse settle order,
+    pushing each node's flow onto its successor link and into that link's
+    head node. Link times are > 0, so the head is settled before the node
+    and receives all its flow before its own turn. The shelter itself
+    (settled first) keeps what reaches it.
     """
-    heads = network.link_heads
-    V = [0.0] * len(heads)
-    for (_, succ, order), column in zip(trees, q.T.tolist()):
-        node_flow = [0.0] * len(succ)
-        for oi, flow in zip(origin_idx, column):
-            node_flow[oi] = flow
+    core = network.core
+    size = len(core.nodes)
+    shelters = q.shape[1]
+    flow = np.zeros((shelters, len(core.position)))
+    flow[:, positions] = q.T
+    moving = zone_succ >= 0
+    links = zone_succ[moving]
+    zone_flow = flow[:, size:][moving]
+    V = np.bincount(links, weights=zone_flow, minlength=len(core.link_heads)).tolist()
+    node_flow = flow[:, :size]
+    node_flow += np.bincount(
+        np.nonzero(moving)[0] * size + core.link_heads[links],
+        weights=zone_flow,
+        minlength=shelters * size,
+    ).reshape(shelters, size)
+    heads = core.link_heads.tolist()
+    for (_, succ, order), node_flow_s in zip(trees, node_flow.tolist()):
         for v in order[:0:-1]:
-            flow = node_flow[v]
-            if flow:
+            flow_v = node_flow_s[v]
+            if flow_v:
                 li = succ[v]
-                V[li] += flow
-                node_flow[heads[li]] += flow
+                V[li] += flow_v
+                node_flow_s[heads[li]] += flow_v
     return np.array(V)
 
 
@@ -210,14 +252,18 @@ def all_or_nothing(
                 raise ValueError(f"{kind} {node_id!r} is not a network node")
     row = {o: i for i, o in enumerate(origins)}
     col = {s: j for j, s in enumerate(shelters)}
-    trees = _shelter_trees(network, times, [network.node_index[s] for s in shelters])
+    shelter_idx = [network.node_index[s] for s in shelters]
+    trees = network.core_trees(times.tolist(), shelter_idx)
+    cost, zone_succ = _shelter_costs(network, trees, times, shelter_idx)
+    positions = np.array(
+        [network.core.position[network.node_index[o]] for o in origins], dtype=np.intp
+    )
     q = np.zeros((len(origins), len(shelters)))
     for origin, shelter in positive:
-        if math.isinf(trees[col[shelter]][0][network.node_index[origin]]):
+        if math.isinf(cost[col[shelter], positions[row[origin]]]):
             raise UnreachablePairError(origin, shelter)
         q[row[origin], col[shelter]] = od_flows[(origin, shelter)]
-    origin_idx = [network.node_index[o] for o in origins]
-    return network.link_dict(_load_trees(network, trees, q, origin_idx))
+    return network.link_dict(_load(network, trees, zone_succ, q, positions))
 
 
 def _beckmann_entropy(
@@ -343,7 +389,8 @@ def solve_lower_level(
         if origin not in network.node_index:
             raise ValueError(f"demand origin {origin!r} is not a network node")
     productions = np.array([demand.productions[o] for o in origins], dtype=float)
-    origin_idx = [network.node_index[o] for o in origins]
+    core = network.core
+    positions = np.array([core.position[network.node_index[o]] for o in origins], dtype=np.intp)
     shelter_idx = [network.node_index[s] for s in open_ids]
     beta = impedance.beta
     t0 = network.free_flow_array
@@ -359,10 +406,13 @@ def solve_lower_level(
     converged = False
 
     while True:
-        trees = _shelter_trees(network, times, shelter_idx)
-        cost = np.array([dist for dist, _, _ in trees])[:, origin_idx].T.copy()
-        q_aux = _logit_split(productions, cost, beta, origins)
-        V_aux = _load_trees(network, trees, q_aux, origin_idx)
+        if iterations == 0:
+            trees = network.free_flow_core_trees(shelter_idx)
+        else:
+            trees = network.core_trees(times.tolist(), shelter_idx)
+        cost, zone_succ = _shelter_costs(network, trees, times, shelter_idx)
+        q_aux = _logit_split(productions, cost.T[positions], beta, origins)
+        V_aux = _load(network, trees, zone_succ, q_aux, positions)
 
         gap = relative_gap(float(np.dot(V, times)), float(np.dot(V_aux, times)))
         # The empty start also has gap 0 when all demand sits at open
@@ -385,16 +435,17 @@ def solve_lower_level(
         iterations += 1
         aon_trees.append(
             {
-                sid: {node_ids[v]: link_ids[succ[v]] for v in order[1:]}
-                for sid, (_, succ, order) in zip(open_ids, trees)
+                sid: {
+                    **{node_ids[core.nodes[p]]: link_ids[succ[p]] for p in order[1:]},
+                    **network.zone_links_named(v, links),
+                }
+                for sid, v, (_, succ, order), links in zip(
+                    open_ids, shelter_idx, trees, zone_succ.tolist()
+                )
             }
         )
 
-    od_flows = {
-        (origins[i], open_ids[s]): float(q[i, s])
-        for i in range(len(origins))
-        for s in range(len(open_ids))
-    }
+    od_flows = dict(zip(itertools.product(origins, open_ids), q.ravel().tolist()))
     return AssignmentResult(
         link_flows=network.link_dict(V),
         od_flows=od_flows,
@@ -411,7 +462,7 @@ def lower_level_objective(
 ) -> float:
     """Evaluate the evacuees' objective (BPR integrals + scaled entropy) at
     a result's flows."""
-    V = np.array([result.link_flows.get(lid, 0.0) for lid in network.link_ids])
+    V = _link_flow_array(network, result)
     q = np.array(list(result.od_flows.values())) if result.od_flows else np.zeros(0)
     if np.any(V < 0) or np.any(q < 0):
         raise ValueError("flows must be non-negative")
@@ -420,9 +471,18 @@ def lower_level_objective(
     )
 
 
+def _link_flow_array(network: Network, result: AssignmentResult) -> np.ndarray:
+    """The result's link flows in link index order (0.0 for a missing link)."""
+    return np.fromiter(
+        map(result.link_flows.get, network.link_ids, itertools.repeat(0.0)),
+        float,
+        len(network.link_ids),
+    )
+
+
 def total_evacuation_time(network: Network, result: AssignmentResult) -> float:
     """Total vehicle-minutes spent: sum of V_a * t_a(V_a) over links."""
-    V = np.array([result.link_flows.get(lid, 0.0) for lid in network.link_ids])
+    V = _link_flow_array(network, result)
     times = bpr_times_array(network.free_flow_array, network.capacity_array, V)
     return float(np.dot(V, times))
 
@@ -443,10 +503,5 @@ def constraint_violations(
         c.node_id: max(inflow[c.node_id] - c.capacity_vph * bit, 0.0)
         for c, bit in zip(shelters.candidates, shelters.selection)
     }
-    link_excess = {
-        link.id: max(
-            result.link_flows.get(link.id, 0.0) - link.max_saturation * link.capacity_vph, 0.0
-        )
-        for link in network.sorted_links
-    }
-    return shelter_excess, link_excess
+    excess = np.maximum(_link_flow_array(network, result) - network.flow_limit_array, 0.0)
+    return shelter_excess, dict(zip(network.link_ids, excess.tolist()))

@@ -21,7 +21,9 @@ dataclass's fields and their annotations:
 Reads are strict: a value is accepted only when its JSON type matches the
 annotation (a bool is not a number, 2.5 is not an integer, null only fills
 an Optional), and anything else raises ValueError naming the type and the
-field. A key missing on read takes the field's default; canonical_json
+field. A key that names no written field raises ValueError naming the type
+and the key, except a retired key of that type (_RETIRED_KEYS), which is
+skipped. A key missing on read takes the field's default; canonical_json
 writes sorted keys, so equal records give equal bytes.
 
 Rows of one result dataclass (study rows, GA history, enumeration
@@ -57,7 +59,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .enumeration import EnumerationReport
-from .ga import Evaluation
+from .ga import Evaluation, SolveReport
 from .network import Link, Network, Node, validate_network
 from .problem import (
     AssignmentConfig,
@@ -411,6 +413,11 @@ _JSON_KINDS = {
 }
 
 
+# per result type: keys it no longer has that files written before may
+# hold; a read skips them
+_RETIRED_KEYS = {SolveReport: ("assignment_diagnostics",)}
+
+
 def from_jsonable(tp: object, doc: object) -> object:
     """Rebuild a value of annotation `tp` (a result dataclass, say) from
     the output of to_jsonable; the module docstring lists the strict read
@@ -430,8 +437,13 @@ def from_jsonable(tp: object, doc: object) -> object:
         what = f"a {tp.__name__} object" if record else name
         raise ValueError(f"expected {what}, got {reprlib.repr(doc)}")
     if record:
+        fields = _json_fields(tp)
+        known = {name for name, _ in fields}.union(_RETIRED_KEYS.get(tp, ()))
+        unknown = [key for key in doc if key not in known]
+        if unknown:
+            raise ValueError(f"{tp.__name__}: unknown key {reprlib.repr(min(unknown))}")
         values = {}
-        for name, hint in _json_fields(tp):
+        for name, hint in fields:
             if name in doc:
                 try:
                     values[name] = from_jsonable(hint, doc[name])

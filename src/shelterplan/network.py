@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
@@ -68,6 +69,33 @@ class Link:
             raise ValueError(f"link {self.id!r}: max_saturation must be in (0, 1]")
 
 
+class CoreGraph(NamedTuple):
+    """A network split at its zones, for the searches toward shelters.
+
+    A zone is a node with outgoing links but no incoming one, such as an
+    origin hanging off the road network by its connectors. It can start a
+    path but never lie inside one, so its cost to a shelter is the minimum
+    over its out-links of (head cost + link time), and a search over the
+    reverse graph need not visit it. Every other node is in the core.
+
+    Positions number the core nodes first and the zones after them, each
+    part in node index order; position `len(position)` is left free for
+    padding.
+    """
+
+    nodes: tuple[int, ...]  # node index per core position
+    zones: tuple[int, ...]  # node index per zone (position len(nodes) + z)
+    position: tuple[int, ...]  # per node index: its position
+    # per core position: incoming (link index, tail position) from core
+    # tails, ascending link index
+    reverse_adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    link_heads: np.ndarray  # per link index: its head's position (-1 if unknown)
+    # zones x max out-degree: out-link indices in ascending order, and
+    # their heads' positions; padded with link 0 and the free position
+    zone_links: np.ndarray
+    zone_heads: np.ndarray
+
+
 class Network:
     """Immutable directed network with derived index structures.
 
@@ -75,6 +103,15 @@ class Network:
     endpoints, duplicate ids): those are reported by `validate_network`
     rather than raised, so broken inputs can be diagnosed. Solver behavior
     is only defined for networks with an empty validation report.
+
+    The index structures are built on first use and kept. For the
+    searches toward shelters, `core` splits the nodes into zones (no
+    incoming link) and the core: `core_trees` searches the core only, and
+    a zone is priced through its out-links. Two caches serve the solver's
+    repeated work: `free_flow_core_trees` keeps each node's core tree at
+    free-flow times, the times of every solve's first pass, and
+    `zone_links_named` keeps the zones' part of the id-keyed trees a
+    solve records (`AssignmentResult.aon_trees`).
     """
 
     def __init__(self, nodes: Sequence[Node], links: Sequence[Link]):
@@ -117,6 +154,11 @@ class Network:
         return np.array([l.capacity_vph for l in self.sorted_links], dtype=float)
 
     @cached_property
+    def flow_limit_array(self) -> np.ndarray:
+        """max_saturation * capacity per link: the upper level's flow limit."""
+        return np.array([l.max_saturation * l.capacity_vph for l in self.sorted_links], dtype=float)
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per node index: outgoing (link_index, head_node_index), ascending link index.
 
@@ -147,9 +189,96 @@ class Network:
         return tuple(tuple(sorted(lst)) for lst in inc)
 
     @cached_property
-    def link_heads(self) -> tuple[int, ...]:
-        """Per link index: the index of the link's head node (-1 if unknown)."""
-        return tuple(self.node_index.get(link.to_node, -1) for link in self.sorted_links)
+    def core(self) -> CoreGraph:
+        """The split of the nodes into zones and the core (see CoreGraph)."""
+        reverse = self.reverse_adjacency
+        zones = [v for v, outgoing in enumerate(self.adjacency) if outgoing and not reverse[v]]
+        is_zone = set(zones)
+        nodes = [v for v in range(len(reverse)) if v not in is_zone]
+        position = [0] * len(reverse)
+        for p, v in enumerate(nodes + zones):
+            position[v] = p
+        width = max((len(self.adjacency[v]) for v in zones), default=1)
+        zone_links = np.zeros((len(zones), width), dtype=np.intp)
+        zone_heads = np.full((len(zones), width), len(reverse), dtype=np.intp)
+        for z, v in enumerate(zones):
+            for k, (li, head) in enumerate(self.adjacency[v]):
+                zone_links[z, k] = li
+                zone_heads[z, k] = position[head]
+        return CoreGraph(
+            nodes=tuple(nodes),
+            zones=tuple(zones),
+            position=tuple(position),
+            reverse_adjacency=tuple(
+                tuple((li, position[u]) for li, u in reverse[v] if u not in is_zone)
+                for v in nodes
+            ),
+            link_heads=np.array(
+                [
+                    position[self.node_index[link.to_node]] if link.to_node in self.node_index
+                    else -1
+                    for link in self.sorted_links
+                ],
+                dtype=np.intp,
+            ),
+            zone_links=zone_links,
+            zone_heads=zone_heads,
+        )
+
+    @cached_property
+    def _free_flow_trees(self) -> dict[int, tuple[Sequence[float], list[int], list[int]]]:
+        return {}
+
+    @cached_property
+    def _zone_links_named(self) -> dict[int, tuple[list[int], dict[str, str]]]:
+        return {}
+
+    def core_trees(
+        self, times: Sequence[float], nodes: Sequence[int]
+    ) -> list[tuple[list[float], list[int], list[int]]]:
+        """Per node index in `nodes`: its shortest-path tree over the core's
+        reverse graph under link `times`, as `_dijkstra_indexed` returns it
+        (indexed by core position). A zone gets the empty tree: no core
+        node reaches it."""
+        core = self.core
+        size = len(core.nodes)
+        trees = []
+        for v in nodes:
+            p = core.position[v]
+            if p < size:
+                trees.append(_dijkstra_indexed(core.reverse_adjacency, times, p))
+            else:
+                trees.append(([math.inf] * size, [-1] * size, []))
+        return trees
+
+    def free_flow_core_trees(
+        self, nodes: Sequence[int]
+    ) -> list[tuple[Sequence[float], list[int], list[int]]]:
+        """`core_trees` at the free-flow times, searched once per node and
+        kept; callers must not change the returned trees. The costs are
+        kept as an array('d'), a third of a list of floats' memory."""
+        cache = self._free_flow_trees
+        missing = [v for v in nodes if v not in cache]
+        if missing:
+            times = self.free_flow_array.tolist()
+            for v, (dist, succ, order) in zip(missing, self.core_trees(times, missing)):
+                cache[v] = (array("d", dist), succ, order)
+        return [cache[v] for v in nodes]
+
+    def zone_links_named(self, node: int, links: list[int]) -> dict[str, str]:
+        """Zone id -> link id for the zones toward node index `node`, where
+        links[z] is zone z's link index (-1: none).
+
+        The last map per node is kept and returned again, unchanged, while
+        `links` is the same. For zones with one out-link it changes only
+        with which zones reach the node, and link times do not change that.
+        """
+        last = self._zone_links_named.get(node)
+        if last is None or last[0] != links:
+            zone_ids = [self.node_ids[v] for v in self.core.zones]
+            named = {zone_ids[z]: self.link_ids[li] for z, li in enumerate(links) if li >= 0}
+            last = self._zone_links_named[node] = (links, named)
+        return last[1]
 
     def origin_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in sorted(self.nodes, key=lambda n: n.id) if n.kind == "origin")
@@ -172,7 +301,7 @@ class Network:
 
     def link_dict(self, values: np.ndarray) -> dict[str, float]:
         """Convert an internal link-indexed array back to a link-id keyed map."""
-        return {lid: float(values[i]) for i, lid in enumerate(self.link_ids)}
+        return dict(zip(self.link_ids, values.tolist()))
 
 
 def bpr_time(free_flow_min: float, capacity_vph: float, flow_vph: float) -> float:
@@ -222,8 +351,9 @@ def _dijkstra_indexed(
     inf. On exact cost ties the lower link index (== lower link id) wins.
 
     Over `Network.adjacency` link[v] is the predecessor link entering v on
-    a path from `source`. Over `Network.reverse_adjacency` dist[v] is the
-    cost from v to `source` and link[v] the successor link leaving v
+    a path from `source`. Over a reversed graph (`Network.reverse_adjacency`,
+    or `CoreGraph.reverse_adjacency` indexed by core position) dist[v] is
+    the cost from v to `source` and link[v] the successor link leaving v
     toward it, so one call gives every node's path to one shelter.
     """
     n = len(adjacency)

@@ -30,8 +30,9 @@ def make_network(nodes, links) -> Network:
 
 
 @st.composite
-def small_digraphs(draw):
-    """Random directed graphs on up to 8 nodes: (network, link-id -> time)."""
+def small_digraphs(draw, times=st.floats(0.1, 10.0)):
+    """Random directed graphs on up to 8 nodes: (network, link-id -> time),
+    with link times drawn from `times`."""
     n_nodes = draw(st.integers(2, 8))
     node_ids = [f"n{i}" for i in range(n_nodes)]
     n_links = draw(st.integers(1, 16))
@@ -41,7 +42,7 @@ def small_digraphs(draw):
         v = draw(st.integers(0, n_nodes - 1))
         if u == v:
             v = (v + 1) % n_nodes
-        time = draw(st.floats(0.1, 10.0))
+        time = draw(times)
         links.append((f"e{k:02d}", node_ids[u], node_ids[v], 1000.0, time))
     net = make_network([(nid, "intermediate") for nid in node_ids], links)
     return net, {l[0]: l[4] for l in links}

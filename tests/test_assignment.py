@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from shelterplan.assignment import (
     AssignmentResult,
     _beckmann_entropy,
     _line_search_step,
-    _shelter_trees,
+    _shelter_costs,
     InfeasibleOriginError,
     UnreachablePairError,
     all_or_nothing,
@@ -28,7 +29,7 @@ from shelterplan.problem import (
     ShelterSet,
 )
 
-from shelterplan.network import shortest_path_tree
+from shelterplan.network import _dijkstra_indexed, shortest_path_tree
 
 from conftest import load_instance, make_network, small_digraphs, two_shelter_network
 from oracles import bisection_line_search_step, convex_route_minimum, route_fixed_point
@@ -169,13 +170,33 @@ def test_aon_rejects_negative_flow():
 # ---- the kernel against forward shortest-path trees ----------------------
 
 
+def kernel_trees(net, times, shelter_idx):
+    """Per shelter index: the kernel's cost and successor link at every
+    node index, the layout `_dijkstra_indexed` gives over the reverse graph."""
+    core = net.core
+    size = len(core.nodes)
+    trees = net.core_trees(times.tolist(), shelter_idx)
+    cost, zone_succ = _shelter_costs(net, trees, times, shelter_idx)
+    return [
+        (
+            [float(cost[s, p]) for p in core.position],
+            [succ[p] if p < size else int(zone_succ[s, p - size]) for p in core.position],
+        )
+        for s, (_, succ, _) in enumerate(trees)
+    ]
+
+
 @given(small_digraphs())
 def test_shelter_tree_costs_match_forward_trees(graph):
     net, times = graph
     t = net.times_to_array(times)
-    trees = _shelter_trees(net, t, range(len(net.node_ids)))
-    for target, (dist, succ, order) in zip(net.node_ids, trees):
-        assert order[0] == net.node_index[target] and succ[order[0]] == -1
+    targets = range(len(net.node_ids))
+    for v, (_, _, order) in zip(targets, net.core_trees(t.tolist(), targets)):
+        # a core search settles its source first; a zone's is empty
+        assert [net.core.nodes[p] for p in order[:1]] == ([v] if v in net.core.nodes else [])
+    trees = kernel_trees(net, t, targets)
+    for target, (dist, succ) in zip(net.node_ids, trees):
+        assert dist[net.node_index[target]] == 0.0 and succ[net.node_index[target]] == -1
         for source in net.node_ids:
             forward = shortest_path_tree(net, times, source).costs.get(target, math.inf)
             reverse = dist[net.node_index[source]]
@@ -183,6 +204,83 @@ def test_shelter_tree_costs_match_forward_trees(graph):
                 assert math.isinf(reverse)
             else:
                 assert reverse == pytest.approx(forward, rel=1e-12, abs=0.0)
+
+
+def assert_kernel_matches_full_search(net, times):
+    """The zone/core kernel equals one `_dijkstra_indexed` over the whole
+    reverse graph per shelter: the same cost at every node and the same
+    successor link at every node (-1 at the shelter and where unreachable)."""
+    t = net.times_to_array(times)
+    targets = range(len(net.node_ids))
+    for target, (dist, succ) in zip(targets, kernel_trees(net, t, targets)):
+        full_dist, full_succ, _ = _dijkstra_indexed(net.reverse_adjacency, t.tolist(), target)
+        assert dist == full_dist
+        assert succ == full_succ
+
+
+@given(small_digraphs(times=st.integers(1, 3).map(float)))
+def test_kernel_equals_the_full_search_with_ties(graph):
+    assert_kernel_matches_full_search(*graph)
+
+
+def test_kernel_zone_with_two_out_links():
+    net = load_instance("toy_two_shelters").network
+    assert [net.node_ids[z] for z in net.core.zones] == ["o"]
+    assert_kernel_matches_full_search(net, {"L1": 5.0, "L2": 6.5})
+    # toward s2 the zone must leave by its second out-link
+    t = net.free_flow_array
+    (_, to_s1), (_, to_s2) = kernel_trees(net, t, [net.node_index["s1"], net.node_index["s2"]])
+    o = net.node_index["o"]
+    assert net.link_ids[to_s1[o]] == "L1" and net.link_ids[to_s2[o]] == "L2"
+
+
+def test_kernel_shelter_without_an_incoming_link():
+    net = make_network(
+        [("s", "shelter-candidate"), ("a", "intermediate"), ("t", "shelter-candidate")],
+        [("L1", "s", "a", 1000, 1.0), ("L2", "a", "t", 1000, 2.0)],
+    )
+    assert [net.node_ids[z] for z in net.core.zones] == ["s"]
+    assert_kernel_matches_full_search(net, {"L1": 1.0, "L2": 2.0})
+    (dist, succ), = kernel_trees(net, net.free_flow_array, [net.node_index["s"]])
+    # nodes in id order a, s, t: nothing but s itself reaches s
+    assert dist == [math.inf, 0.0, math.inf] and succ == [-1, -1, -1]
+    result = solve(net, ["s", "t"], {"s": 10.0}, 0.5)
+    assert result.converged
+    # the demand at s stays there only in part: t is 3 minutes away
+    assert result.od_flows[("s", "s")] + result.od_flows[("s", "t")] == pytest.approx(10.0)
+    assert result.link_flows["L1"] == result.link_flows["L2"] == result.od_flows[("s", "t")]
+
+
+def test_kernel_zone_that_cannot_reach_the_shelter():
+    net = make_network(
+        [("z", "origin"), ("w", "origin"), ("x", "intermediate"), ("s", "shelter-candidate")],
+        [("L1", "z", "x", 1000, 1.0), ("L2", "w", "s", 1000, 1.0)],
+    )
+    assert [net.node_ids[v] for v in net.core.zones] == ["w", "z"]
+    assert_kernel_matches_full_search(net, {"L1": 1.0, "L2": 1.0})
+    (dist, succ), = kernel_trees(net, net.free_flow_array, [net.node_index["s"]])
+    z = net.node_index["z"]
+    assert math.isinf(dist[z]) and succ[z] == -1
+    with pytest.raises(InfeasibleOriginError, match="'z'"):
+        solve(net, ["s"], {"w": 1.0, "z": 1.0}, 0.5)
+
+
+def test_free_flow_trees_are_a_fresh_search_and_survive_a_solve(sanrocco):
+    net = sanrocco.network
+    shelter_idx = [net.node_index[c.node_id] for c in sanrocco.shelters.candidates]
+
+    def as_lists(trees):
+        return [(list(dist), list(succ), list(order)) for dist, succ, order in trees]
+
+    fresh = net.core_trees(net.free_flow_array.tolist(), shelter_idx)
+    cached = net.free_flow_core_trees(shelter_idx)
+    assert as_lists(cached) == fresh
+    for scenario in sanrocco.scenarios:
+        solve_lower_level(
+            net, sanrocco.shelters.open_ids(), scenario, sanrocco.impedance, sanrocco.assignment
+        )
+    assert as_lists(net.free_flow_core_trees(shelter_idx)) == fresh
+    assert net.free_flow_core_trees(shelter_idx[:1])[0] is cached[0]
 
 
 @given(small_digraphs(), st.data())
@@ -372,6 +470,32 @@ def test_aon_trees_record_one_tree_per_iteration():
         assert set(trees) == {"s1", "s2"}
         assert trees["s1"] == {"o": "L1"}
         assert trees["s2"] == {"o": "L2"}
+
+
+def test_town_solver_trajectory_is_pinned(sanrocco):
+    """Flow updates and capped solves per scenario over every town subset.
+
+    These are the counts of the double-stage solver with the exact line
+    search. A kernel change that only reorders floating-point sums keeps
+    them; a change to the algorithm updates them here, in the open.
+    """
+    ids = [c.node_id for c in sanrocco.shelters.candidates]
+    config = sanrocco.assignment
+    counts = {}
+    for scenario in sanrocco.scenarios:
+        iterations = capped = 0
+        for bits in itertools.product((0, 1), repeat=len(ids)):
+            if not any(bits):
+                continue
+            open_ids = [sid for sid, bit in zip(ids, bits) if bit]
+            result = solve_lower_level(
+                sanrocco.network, open_ids, scenario, sanrocco.impedance, config
+            )
+            iterations += result.iterations
+            capped += not result.converged and result.iterations >= config.max_iterations
+        counts[scenario.name] = (iterations, capped)
+    assert counts == {"day": (655, 0), "night": (775, 0), "weekend": (764, 0),
+                      "vacation": (3864, 9)}
 
 
 # ---- gap metric -----------------------------------------------------------

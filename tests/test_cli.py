@@ -213,6 +213,9 @@ GOOD_ROW = {
     ("list_of_int.json", [5], "expected a ScenarioResultRow object, got 5"),
     ("object.json", {}, "expected a list, got {}"),
     ("missing.json", None, "No such file"),
+    ("misspelled.json",
+     [{**{k: v for k, v in GOOD_ROW.items() if k != "feasible"}, "feasable": False}],
+     "ScenarioResultRow: unknown key 'feasable'"),
 ])
 def test_report_on_a_bad_rows_file_exits_2_without_a_traceback(tmp_path, name, content, message):
     path = tmp_path / name

@@ -441,6 +441,27 @@ def test_a_value_of_the_wrong_json_type_names_the_field(tp, path, value, message
         from_jsonable(tp, replaced(VALID_DOCS[tp], path, value))
 
 
+@pytest.mark.parametrize("tp, path, message", [
+    (ScenarioResultRow, (), r"^ScenarioResultRow: unknown key 'feasable'$"),
+    (AssignmentResult, (), r"^AssignmentResult: unknown key 'feasable'$"),
+    (EnumerationReport, ("evaluations", 0),
+     r"^EnumerationReport\.evaluations: Evaluation: unknown key"),
+    (SolveReport, ("history", 0), r"^SolveReport\.history: GenerationStats: unknown key"),
+])
+def test_a_key_that_names_no_field_is_rejected(tp, path, message):
+    record = VALID_DOCS[tp]
+    for key in path:
+        record = record[key]
+    with pytest.raises(ValueError, match=message):
+        from_jsonable(tp, replaced(VALID_DOCS[tp], path, dict(record, feasable=False)))
+
+
+def test_fields_kept_in_memory_only_are_unknown_keys_on_read():
+    doc = dict(VALID_DOCS[AssignmentResult], aon_trees=[])
+    with pytest.raises(ValueError, match="AssignmentResult: unknown key 'aon_trees'"):
+        from_jsonable(AssignmentResult, doc)
+
+
 def test_solve_report_written_with_assignment_diagnostics_still_loads():
     doc = dict(VALID_DOCS[SolveReport], assignment_diagnostics={"converged": True, "iterations": 2})
     assert from_jsonable(SolveReport, doc) == from_jsonable(SolveReport, VALID_DOCS[SolveReport])
