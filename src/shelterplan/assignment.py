@@ -8,13 +8,13 @@ each pass runs one array kernel:
 1. one shortest-path tree per open shelter: every node's cost to that
    shelter and its successor link toward it (on exact cost ties the lower
    link id wins), so the origin x shelter cost matrix needs |open
-   shelters| searches, not |origins|. The tree is split at the zones
-   (`network.CoreGraph`), the nodes with no incoming link, such as the
-   origins hanging off the roads by their connectors: one search per
-   shelter runs over the reversed graph of the other nodes (the core),
-   and one NumPy gather-add then prices every zone for all open shelters
-   at once through its out-links. The first pass of a solve runs at
-   free-flow times, so its core trees come from the network's cache;
+   shelters| searches, not |origins|. The network numbers its nodes core
+   first and the zones after them (`network.CoreGraph`); a zone is a node
+   with no incoming link, such as an origin hanging off the roads by its
+   connectors. One search per shelter runs over the reversed graph of the
+   core, and one NumPy gather-add then prices every zone for all open
+   shelters at once through its out-links. The first pass of a solve runs
+   at free-flow times, so its core trees come from the network's cache;
 2. one logit split of that whole matrix;
 3. all-or-nothing loading of each shelter's column of the split: the
    zones' flows go onto their out-links at once, and then each core tree
@@ -102,29 +102,28 @@ def _shelter_costs(
     """Kernel step 1, the zone half: every node's cost to each shelter.
 
     `trees` are the shelters' core trees (`Network.core_trees`). Returns
-    (cost, zone_succ): cost[s, p] is the cost to shelter s from the node
-    at position p of `Network.core`, with a last column of inf;
-    zone_succ[s, z] is zone z's out-link toward s, or -1 where the zone is
-    s or cannot reach it. One gather-add prices every zone through each
-    of its out-links; argmin takes the first minimum, so on an exact tie
-    the lower link id wins.
+    (cost, zone_succ): cost[s, v] is the cost to shelter s from node index
+    v, with a last column of inf for the free node index; zone_succ[s, z]
+    is zone z's out-link toward s, or -1 where the zone is s or cannot
+    reach it. One gather-add prices every zone through each of its
+    out-links; argmin takes the first minimum, so on an exact tie the
+    lower link id wins.
     """
     core = network.core
-    size = len(core.nodes)
-    cost = np.empty((len(trees), len(core.position) + 1))
+    size = core.size
+    cost = np.empty((len(trees), len(network.node_ids) + 1))
     cost[:, :size] = np.fromiter(
         itertools.chain.from_iterable(dist for dist, _, _ in trees), float, len(trees) * size
     ).reshape(len(trees), size)
     cost[:, -1] = math.inf
     reach = cost[:, core.zone_heads] + times[core.zone_links]
     zone_cost = cost[:, size:-1] = reach.min(axis=2)
-    zone_succ = core.zone_links[np.arange(len(core.zones)), reach.argmin(axis=2)]
+    zone_succ = core.zone_links[np.arange(len(core.zone_links)), reach.argmin(axis=2)]
     zone_succ[np.isinf(zone_cost)] = -1
     for s, v in enumerate(shelter_idx):
-        p = core.position[v]
-        if p >= size:  # a shelter without an incoming link
-            cost[s, p] = 0.0
-            zone_succ[s, p - size] = -1
+        if v >= size:  # a shelter without an incoming link
+            cost[s, v] = 0.0
+            zone_succ[s, v - size] = -1
     return cost, zone_succ
 
 
@@ -150,10 +149,10 @@ def _load(
     trees: Sequence[tuple[list[float], list[int], list[int]]],
     zone_succ: np.ndarray,
     q: np.ndarray,
-    positions: np.ndarray,
+    sources: np.ndarray,
 ) -> np.ndarray:
-    """Kernel step 3: link flows when the node at position positions[i] of
-    `Network.core` sends q[i, s] to shelter s along the kernel's trees.
+    """Kernel step 3: link flows when node index sources[i] sends q[i, s]
+    to shelter s along the kernel's trees.
 
     A zone's flow goes onto its out-link toward s and into that link's
     head, for all zones and shelters at once; a core node's flow is put on
@@ -164,10 +163,10 @@ def _load(
     (settled first) keeps what reaches it.
     """
     core = network.core
-    size = len(core.nodes)
+    size = core.size
     shelters = q.shape[1]
-    flow = np.zeros((shelters, len(core.position)))
-    flow[:, positions] = q.T
+    flow = np.zeros((shelters, len(network.node_ids)))
+    flow[:, sources] = q.T
     moving = zone_succ >= 0
     links = zone_succ[moving]
     zone_flow = flow[:, size:][moving]
@@ -255,15 +254,13 @@ def all_or_nothing(
     shelter_idx = [network.node_index[s] for s in shelters]
     trees = network.core_trees(times.tolist(), shelter_idx)
     cost, zone_succ = _shelter_costs(network, trees, times, shelter_idx)
-    positions = np.array(
-        [network.core.position[network.node_index[o]] for o in origins], dtype=np.intp
-    )
+    sources = np.array([network.node_index[o] for o in origins], dtype=np.intp)
     q = np.zeros((len(origins), len(shelters)))
     for origin, shelter in positive:
-        if math.isinf(cost[col[shelter], positions[row[origin]]]):
+        if math.isinf(cost[col[shelter], sources[row[origin]]]):
             raise UnreachablePairError(origin, shelter)
         q[row[origin], col[shelter]] = od_flows[(origin, shelter)]
-    return network.link_dict(_load(network, trees, zone_succ, q, positions))
+    return network.link_dict(_load(network, trees, zone_succ, q, sources))
 
 
 def _beckmann_entropy(
@@ -389,8 +386,7 @@ def solve_lower_level(
         if origin not in network.node_index:
             raise ValueError(f"demand origin {origin!r} is not a network node")
     productions = np.array([demand.productions[o] for o in origins], dtype=float)
-    core = network.core
-    positions = np.array([core.position[network.node_index[o]] for o in origins], dtype=np.intp)
+    sources = np.array([network.node_index[o] for o in origins], dtype=np.intp)
     shelter_idx = [network.node_index[s] for s in open_ids]
     beta = impedance.beta
     t0 = network.free_flow_array
@@ -411,8 +407,8 @@ def solve_lower_level(
         else:
             trees = network.core_trees(times.tolist(), shelter_idx)
         cost, zone_succ = _shelter_costs(network, trees, times, shelter_idx)
-        q_aux = _logit_split(productions, cost.T[positions], beta, origins)
-        V_aux = _load(network, trees, zone_succ, q_aux, positions)
+        q_aux = _logit_split(productions, cost.T[sources], beta, origins)
+        V_aux = _load(network, trees, zone_succ, q_aux, sources)
 
         gap = relative_gap(float(np.dot(V, times)), float(np.dot(V_aux, times)))
         # The empty start also has gap 0 when all demand sits at open
@@ -436,7 +432,7 @@ def solve_lower_level(
         aon_trees.append(
             {
                 sid: {
-                    **{node_ids[core.nodes[p]]: link_ids[succ[p]] for p in order[1:]},
+                    **{node_ids[u]: link_ids[succ[u]] for u in order[1:]},
                     **network.zone_links_named(v, links),
                 }
                 for sid, v, (_, succ, order), links in zip(

@@ -203,7 +203,13 @@ def load_network(path: str | os.PathLike) -> Network:
 def load_shelters(path: str | os.PathLike) -> ShelterSet:
     p = Path(path)
     candidates = []
+    first_line: dict[str, int] = {}
     for line, row in _read_csv(p, SHELTER_COLUMNS, SHELTER_COLUMNS):
+        first = first_line.setdefault(row["node_id"], line)
+        if first != line:
+            raise ProblemLoadError(
+                f"{p}:{line}: shelter candidate {row['node_id']!r} already listed on line {first}"
+            )
         try:
             candidates.append(
                 CandidateShelter(
@@ -222,7 +228,7 @@ def load_scenario(path: str | os.PathLike) -> DemandScenario:
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long to read
         raise ProblemLoadError(f"{p}: {exc}") from None
     if not isinstance(doc, dict) or "productions" not in doc:
         raise ProblemLoadError(f"{p}: scenario document needs a 'productions' object")
@@ -230,10 +236,20 @@ def load_scenario(path: str | os.PathLike) -> DemandScenario:
     raw = doc["productions"]
     if not isinstance(raw, dict):
         raise ProblemLoadError(f"{p}: 'productions' must map origin ids to vehicle counts")
+    productions: dict[str, float] = {}
+    for origin, value in raw.items():
+        # JSON numbers read as int or float; true reads as bool, no vehicle count
+        if type(value) not in (int, float):
+            raise ProblemLoadError(
+                f"{p}: production for origin {origin!r} must be a JSON number, got {value!r}"
+            )
+        try:
+            productions[origin] = float(value)
+        except OverflowError:  # an integer beyond float range; DemandScenario rejects inf
+            productions[origin] = math.inf
     try:
-        productions = {str(k): float(v) for k, v in raw.items()}
         return DemandScenario(name=name, productions=productions)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ProblemLoadError(f"{p}: {exc}") from None
 
 
@@ -254,6 +270,7 @@ _CONFIG_SCHEMA: dict[str, type] = {
 def parse_config_text(text: str, where: str = "<config>") -> dict[str, object]:
     """Parse dotted key=value lines into typed values; '#' starts a comment."""
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -265,6 +282,11 @@ def parse_config_text(text: str, where: str = "<config>") -> dict[str, object]:
         value = value.strip()
         if key not in _CONFIG_SCHEMA:
             raise ProblemLoadError(f"{where}:{lineno}: unknown config key {key!r}")
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise ProblemLoadError(
+                f"{where}:{lineno}: config key {key!r} already set on line {first}"
+            )
         caster = _CONFIG_SCHEMA[key]
         try:
             values[key] = caster(value) if caster is not str else value

@@ -78,20 +78,17 @@ class CoreGraph(NamedTuple):
     over its out-links of (head cost + link time), and a search over the
     reverse graph need not visit it. Every other node is in the core.
 
-    Positions number the core nodes first and the zones after them, each
-    part in node index order; position `len(position)` is left free for
-    padding.
+    `Network` numbers the core first and the zones after it, each in id
+    order: the core is node indices 0 .. size - 1 and zone z is node index
+    size + z; node index `len(Network.node_ids)` is left free for padding.
     """
 
-    nodes: tuple[int, ...]  # node index per core position
-    zones: tuple[int, ...]  # node index per zone (position len(nodes) + z)
-    position: tuple[int, ...]  # per node index: its position
-    # per core position: incoming (link index, tail position) from core
-    # tails, ascending link index
+    size: int  # the number of core nodes
+    # per core node: incoming (link index, tail) from core tails, ascending link index
     reverse_adjacency: tuple[tuple[tuple[int, int], ...], ...]
-    link_heads: np.ndarray  # per link index: its head's position (-1 if unknown)
+    link_heads: np.ndarray  # per link index: its head's node index (-1 if unknown)
     # zones x max out-degree: out-link indices in ascending order, and
-    # their heads' positions; padded with link 0 and the free position
+    # their heads; padded with link 0 and the free node index
     zone_links: np.ndarray
     zone_heads: np.ndarray
 
@@ -104,25 +101,32 @@ class Network:
     rather than raised, so broken inputs can be diagnosed. Solver behavior
     is only defined for networks with an empty validation report.
 
-    The index structures are built on first use and kept. For the
-    searches toward shelters, `core` splits the nodes into zones (no
-    incoming link) and the core: `core_trees` searches the core only, and
-    a zone is priced through its out-links. Two caches serve the solver's
-    repeated work: `free_flow_core_trees` keeps each node's core tree at
-    free-flow times, the times of every solve's first pass, and
-    `zone_links_named` keeps the zones' part of the id-keyed trees a
-    solve records (`AssignmentResult.aon_trees`).
+    The index structures are built on first use and kept. Node indices
+    number the core first, then the zones (see CoreGraph): `core_trees`
+    searches the core only, and a zone is priced through its out-links.
+    Two caches serve the solver's repeated work: `free_flow_core_trees`
+    keeps each node's core tree at free-flow times, the times of every
+    solve's first pass, and `zone_links_named` keeps the zones' part of
+    the id-keyed trees a solve records (`AssignmentResult.aon_trees`).
     """
 
     def __init__(self, nodes: Sequence[Node], links: Sequence[Link]):
         self.nodes: tuple[Node, ...] = tuple(nodes)
         self.links: tuple[Link, ...] = tuple(links)
 
-    # ---- derived, cached structures (ids sorted for determinism) ----
+    # ---- derived, cached structures (core, then zones, each sorted by id) ----
+
+    @cached_property
+    def _node_split(self) -> tuple[tuple[str, ...], int]:
+        """(node ids by node index, core size): sorted core ids, then sorted zone ids."""
+        ids = {n.id for n in self.nodes}
+        zones = ids & ({l.from_node for l in self.links} - {l.to_node for l in self.links})
+        core = sorted(ids - zones)
+        return (*core, *sorted(zones)), len(core)
 
     @cached_property
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({n.id for n in self.nodes}))
+        return self._node_split[0]
 
     @cached_property
     def node_index(self) -> dict[str, int]:
@@ -190,36 +194,24 @@ class Network:
 
     @cached_property
     def core(self) -> CoreGraph:
-        """The split of the nodes into zones and the core (see CoreGraph)."""
-        reverse = self.reverse_adjacency
-        zones = [v for v, outgoing in enumerate(self.adjacency) if outgoing and not reverse[v]]
-        is_zone = set(zones)
-        nodes = [v for v in range(len(reverse)) if v not in is_zone]
-        position = [0] * len(reverse)
-        for p, v in enumerate(nodes + zones):
-            position[v] = p
-        width = max((len(self.adjacency[v]) for v in zones), default=1)
-        zone_links = np.zeros((len(zones), width), dtype=np.intp)
-        zone_heads = np.full((len(zones), width), len(reverse), dtype=np.intp)
-        for z, v in enumerate(zones):
-            for k, (li, head) in enumerate(self.adjacency[v]):
+        """The core's reverse graph and the zones' out-links (see CoreGraph)."""
+        size = self._node_split[1]
+        zone_out = self.adjacency[size:]
+        width = max(map(len, zone_out), default=1)
+        zone_links = np.zeros((len(zone_out), width), dtype=np.intp)
+        zone_heads = np.full((len(zone_out), width), len(self.node_ids), dtype=np.intp)
+        for z, outgoing in enumerate(zone_out):
+            for k, (li, head) in enumerate(outgoing):
                 zone_links[z, k] = li
-                zone_heads[z, k] = position[head]
+                zone_heads[z, k] = head
         return CoreGraph(
-            nodes=tuple(nodes),
-            zones=tuple(zones),
-            position=tuple(position),
+            size=size,
             reverse_adjacency=tuple(
-                tuple((li, position[u]) for li, u in reverse[v] if u not in is_zone)
-                for v in nodes
+                tuple((li, u) for li, u in incoming if u < size)
+                for incoming in self.reverse_adjacency[:size]
             ),
             link_heads=np.array(
-                [
-                    position[self.node_index[link.to_node]] if link.to_node in self.node_index
-                    else -1
-                    for link in self.sorted_links
-                ],
-                dtype=np.intp,
+                [self.node_index.get(l.to_node, -1) for l in self.sorted_links], dtype=np.intp
             ),
             zone_links=zone_links,
             zone_heads=zone_heads,
@@ -238,18 +230,14 @@ class Network:
     ) -> list[tuple[list[float], list[int], list[int]]]:
         """Per node index in `nodes`: its shortest-path tree over the core's
         reverse graph under link `times`, as `_dijkstra_indexed` returns it
-        (indexed by core position). A zone gets the empty tree: no core
-        node reaches it."""
+        (indexed by the core's node indices). A zone gets the empty tree: no
+        core node reaches it."""
         core = self.core
-        size = len(core.nodes)
-        trees = []
-        for v in nodes:
-            p = core.position[v]
-            if p < size:
-                trees.append(_dijkstra_indexed(core.reverse_adjacency, times, p))
-            else:
-                trees.append(([math.inf] * size, [-1] * size, []))
-        return trees
+        return [
+            _dijkstra_indexed(core.reverse_adjacency, times, v) if v < core.size
+            else ([math.inf] * core.size, [-1] * core.size, [])
+            for v in nodes
+        ]
 
     def free_flow_core_trees(
         self, nodes: Sequence[int]
@@ -275,7 +263,7 @@ class Network:
         """
         last = self._zone_links_named.get(node)
         if last is None or last[0] != links:
-            zone_ids = [self.node_ids[v] for v in self.core.zones]
+            zone_ids = self.node_ids[self.core.size:]
             named = {zone_ids[z]: self.link_ids[li] for z, li in enumerate(links) if li >= 0}
             last = self._zone_links_named[node] = (links, named)
         return last[1]
@@ -352,7 +340,7 @@ def _dijkstra_indexed(
 
     Over `Network.adjacency` link[v] is the predecessor link entering v on
     a path from `source`. Over a reversed graph (`Network.reverse_adjacency`,
-    or `CoreGraph.reverse_adjacency` indexed by core position) dist[v] is
+    or `CoreGraph.reverse_adjacency` over the core's node indices) dist[v] is
     the cost from v to `source` and link[v] the successor link leaving v
     toward it, so one call gives every node's path to one shelter.
     """

@@ -87,7 +87,8 @@ class DemandScenario:
         for origin, value in self.productions.items():
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
-                    f"scenario {self.name!r}: production for origin {origin!r} must be >= 0"
+                    f"scenario {self.name!r}: production for origin {origin!r} "
+                    "must be finite and >= 0"
                 )
         object.__setattr__(self, "productions", dict(self.productions))
         object.__setattr__(self, "total_vehicles", float(sum(self.productions.values())))

@@ -173,15 +173,10 @@ def test_aon_rejects_negative_flow():
 def kernel_trees(net, times, shelter_idx):
     """Per shelter index: the kernel's cost and successor link at every
     node index, the layout `_dijkstra_indexed` gives over the reverse graph."""
-    core = net.core
-    size = len(core.nodes)
     trees = net.core_trees(times.tolist(), shelter_idx)
     cost, zone_succ = _shelter_costs(net, trees, times, shelter_idx)
     return [
-        (
-            [float(cost[s, p]) for p in core.position],
-            [succ[p] if p < size else int(zone_succ[s, p - size]) for p in core.position],
-        )
+        (cost[s, :-1].tolist(), [*succ, *zone_succ[s].tolist()])
         for s, (_, succ, _) in enumerate(trees)
     ]
 
@@ -193,7 +188,7 @@ def test_shelter_tree_costs_match_forward_trees(graph):
     targets = range(len(net.node_ids))
     for v, (_, _, order) in zip(targets, net.core_trees(t.tolist(), targets)):
         # a core search settles its source first; a zone's is empty
-        assert [net.core.nodes[p] for p in order[:1]] == ([v] if v in net.core.nodes else [])
+        assert order[:1] == ([v] if v < net.core.size else [])
     trees = kernel_trees(net, t, targets)
     for target, (dist, succ) in zip(net.node_ids, trees):
         assert dist[net.node_index[target]] == 0.0 and succ[net.node_index[target]] == -1
@@ -225,7 +220,7 @@ def test_kernel_equals_the_full_search_with_ties(graph):
 
 def test_kernel_zone_with_two_out_links():
     net = load_instance("toy_two_shelters").network
-    assert [net.node_ids[z] for z in net.core.zones] == ["o"]
+    assert net.node_ids == ("s1", "s2", "o") and net.core.size == 2
     assert_kernel_matches_full_search(net, {"L1": 5.0, "L2": 6.5})
     # toward s2 the zone must leave by its second out-link
     t = net.free_flow_array
@@ -239,11 +234,12 @@ def test_kernel_shelter_without_an_incoming_link():
         [("s", "shelter-candidate"), ("a", "intermediate"), ("t", "shelter-candidate")],
         [("L1", "s", "a", 1000, 1.0), ("L2", "a", "t", 1000, 2.0)],
     )
-    assert [net.node_ids[z] for z in net.core.zones] == ["s"]
+    # the core a, t in id order, then the zone s
+    assert net.node_ids == ("a", "t", "s") and net.core.size == 2
     assert_kernel_matches_full_search(net, {"L1": 1.0, "L2": 2.0})
     (dist, succ), = kernel_trees(net, net.free_flow_array, [net.node_index["s"]])
-    # nodes in id order a, s, t: nothing but s itself reaches s
-    assert dist == [math.inf, 0.0, math.inf] and succ == [-1, -1, -1]
+    # nothing but s itself reaches s
+    assert dist == [math.inf, math.inf, 0.0] and succ == [-1, -1, -1]
     result = solve(net, ["s", "t"], {"s": 10.0}, 0.5)
     assert result.converged
     # the demand at s stays there only in part: t is 3 minutes away
@@ -256,7 +252,7 @@ def test_kernel_zone_that_cannot_reach_the_shelter():
         [("z", "origin"), ("w", "origin"), ("x", "intermediate"), ("s", "shelter-candidate")],
         [("L1", "z", "x", 1000, 1.0), ("L2", "w", "s", 1000, 1.0)],
     )
-    assert [net.node_ids[v] for v in net.core.zones] == ["w", "z"]
+    assert net.node_ids == ("s", "x", "w", "z") and net.core.size == 2
     assert_kernel_matches_full_search(net, {"L1": 1.0, "L2": 1.0})
     (dist, succ), = kernel_trees(net, net.free_flow_array, [net.node_index["s"]])
     z = net.node_index["z"]

@@ -21,6 +21,12 @@ TOY = DATA_DIR / "toy_two_shelters"
 SANROCCO = DATA_DIR / "sanrocco_synthetic"
 
 
+def fresh_interpreter_env():
+    """os.environ with this package's source directory on PYTHONPATH."""
+    src = str(Path(shelterplan.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def toy_args(*extra):
     return [
         "--network", str(TOY),
@@ -51,6 +57,28 @@ def test_validate_reports_findings(tmp_path, capsys):
 def test_validate_bad_file_exits_1(tmp_path, capsys):
     assert main(["validate", "--network", str(tmp_path / "missing")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_duplicate_shelter_ids_exit_1_naming_the_file(tmp_path, capsys):
+    shelters = tmp_path / "shelters.csv"
+    shelters.write_text("node_id,capacity_vph\ns1,800\ns2,1000\ns1,800\n")
+    message = f"error: {shelters}:4: shelter candidate 's1' already listed on line 2\n"
+    assert main(["validate", "--network", str(TOY), "--shelters", str(shelters)]) == 1
+    assert capsys.readouterr().err == message
+    args = toy_args("--seed", "0")
+    args[args.index("--shelters") + 1] = str(shelters)
+    assert main(["solve", *args]) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_a_production_too_large_for_a_float_exits_1(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"name": "x", "productions": {"o": 1%s}}' % ("0" * 400))
+    args = toy_args()
+    args[args.index("--scenario") + 1] = str(scenario)
+    assert main(["assign", *args]) == 1
+    message = "scenario 'x': production for origin 'o' must be finite and >= 0"
+    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
 
 
 def test_assign_writes_reloadable_result(tmp_path):
@@ -222,13 +250,23 @@ def test_report_on_a_bad_rows_file_exits_2_without_a_traceback(tmp_path, name, c
     if content is not None:
         path.write_text(json.dumps(content))
     # the console script's entry point, in a fresh interpreter
-    src = str(Path(shelterplan.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "shelterplan.cli", "report", str(path)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=fresh_interpreter_env(),
     )
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith(f"error: {path}: ") and done.stderr.count("\n") == 1
     assert message in done.stderr
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # importing scipy.sparse.csgraph costs about 33 MB of peak memory
+    code = (
+        "import sys, shelterplan; "
+        "print('shelterplan.network' in sys.modules, 'scipy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=fresh_interpreter_env(),
+    )
+    assert (done.returncode, done.stdout) == (0, "True False\n")

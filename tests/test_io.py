@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 
@@ -146,6 +147,14 @@ def test_shelter_capacity_must_be_positive(tmp_path):
         load_shelters(path)
 
 
+def test_duplicate_shelter_id_names_the_file_and_both_lines(tmp_path):
+    path = tmp_path / "shelters.csv"
+    path.write_text("node_id,capacity_vph\ns1,1000\ns2,500\ns1,700\n")
+    with pytest.raises(ProblemLoadError) as info:
+        load_shelters(path)
+    assert str(info.value) == f"{path}:4: shelter candidate 's1' already listed on line 2"
+
+
 def test_load_scenario_defaults_name_to_stem(tmp_path):
     path = tmp_path / "rush_hour.json"
     path.write_text(json.dumps({"productions": {"o": 10}}))
@@ -159,6 +168,23 @@ def test_negative_production_names_the_origin(tmp_path):
     path.write_text(json.dumps({"name": "bad", "productions": {"z9": -5}}))
     with pytest.raises(ProblemLoadError, match="z9"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"o": true}', "production for origin 'o' must be a JSON number, got True"),
+    ('{"o": "1000"}', "production for origin 'o' must be a JSON number, got '1000'"),
+    ('{"o": 1%s}' % ("0" * 400), "production for origin 'o' must be finite and >= 0"),
+    ('{"o": Infinity}', "production for origin 'o' must be finite and >= 0"),
+    ('{"o": 1e400}', "production for origin 'o' must be finite and >= 0"),
+    ('{"o": NaN}', "production for origin 'o' must be finite and >= 0"),
+    ('{"o": 1%s}' % ("0" * 5000), "Exceeds the limit"),
+], ids=["bool", "string", "401-digit-integer", "Infinity", "1e400", "NaN", "5001-digit-integer"])
+def test_a_production_that_is_not_a_finite_json_number_is_a_load_error(tmp_path, text, message):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"name": "x", "productions": %s}' % text)
+    with pytest.raises(ProblemLoadError) as info:
+        load_scenario(path)
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
 
 # ---- config ----------------------------------------------------------------
@@ -201,6 +227,12 @@ def test_config_parses_comments_and_types():
 def test_unknown_config_key_reports_line():
     with pytest.raises(ProblemLoadError, match=":2: unknown config key"):
         parse_config_text("impedance.beta = 2\nga.popsize = 10\n")
+
+
+def test_repeated_config_key_is_rejected():
+    with pytest.raises(ProblemLoadError) as info:
+        parse_config_text("ga.rng_seed = 1\nimpedance.beta = 2\n ga.rng_seed=3 # again\n", "c.txt")
+    assert str(info.value) == "c.txt:3: config key 'ga.rng_seed' already set on line 1"
 
 
 def test_bad_config_value_reports_line():
@@ -247,6 +279,19 @@ def test_bundled_synthetic_instance_loads():
     totals = {s.name: s.total_vehicles for s in bundle.scenarios}
     assert totals == {"day": 1300.0, "night": 2200.0, "weekend": 2200.0, "vacation": 4000.0}
     assert bundle.impedance.beta == 10.0
+
+
+def test_synthetic_town_files_are_what_the_generator_writes(tmp_path, monkeypatch):
+    script = DATA_DIR.parent / "scripts" / "make_sanrocco_synthetic.py"
+    spec = importlib.util.spec_from_file_location("make_sanrocco_synthetic", script)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "OUT_DIR", tmp_path)
+    generator.main()
+    shipped = DATA_DIR / "sanrocco_synthetic"
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f.name for f in shipped.iterdir())
+    for written in tmp_path.iterdir():
+        assert written.read_bytes() == (shipped / written.name).read_bytes(), written.name
 
 
 def test_validation_findings_become_structured_errors(tmp_path):
