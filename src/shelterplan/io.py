@@ -1,10 +1,16 @@
 """Problem ingestion and result serialization.
 
-Formats:
-  network   — directory with nodes.csv + links.csv, or one JSON document
-  shelters  — CSV (node_id,capacity_vph)
-  scenario  — JSON {"name": ..., "productions": {origin_id: vehicles}}
-  config    — flat text, dotted keys (ga.population_size = 20)
+Inputs, each record read through one table from column or key to type:
+  network   — nodes.csv (NODE_FIELDS) and links.csv (LINK_FIELDS) in one
+              directory, or a JSON file (NETWORK_FIELDS) of such objects
+  shelters  — CSV (SHELTER_FIELDS)
+  scenario  — JSON {"name": ..., "productions": {origin_id: vehicles}}, read
+              as a DemandScenario whose name defaults to the file's stem
+  config    — flat text, dotted keys (ga.population_size = 20), _CONFIG_SCHEMA
+A text value (CSV cell, config value) reads as tp(text); an empty cell is
+absent. A JSON value follows the results' strict read rule below: "1000" is
+not a number, and an unknown key is an error. Any failure raises
+ProblemLoadError naming the file and the line or entry.
 
 Results (AssignmentResult, SolveReport, EnumerationReport, study rows) go
 to JSON through one codec, to_jsonable / from_jsonable, driven by each
@@ -75,9 +81,15 @@ from .problem import (
 
 FREE_FLOW_SPEED_MPH = 35.0
 
-NODE_COLUMNS = ("id", "kind")
-LINK_COLUMNS = ("id", "from", "to", "capacity_vph", "free_flow_min", "length_mi", "max_saturation")
-SHELTER_COLUMNS = ("node_id", "capacity_vph")
+# per input record: its CSV columns or JSON keys, each with its value type
+NODE_FIELDS = {"id": str, "kind": str}
+LINK_FIELDS = {
+    "id": str, "from": str, "to": str, "capacity_vph": float,
+    "free_flow_min": float, "length_mi": float, "max_saturation": float,
+}
+SHELTER_FIELDS = {"node_id": str, "capacity_vph": float}
+NETWORK_FIELDS = {"nodes": tuple[dict, ...], "links": tuple[dict, ...]}  # a network JSON file
+NODE_COLUMNS, LINK_COLUMNS, SHELTER_COLUMNS = map(tuple, (NODE_FIELDS, LINK_FIELDS, SHELTER_FIELDS))
 
 
 class ProblemLoadError(Exception):
@@ -112,19 +124,30 @@ def minutes_from_length(length_mi: float, speed_mph: float = FREE_FLOW_SPEED_MPH
     return length_mi / speed_mph * 60.0
 
 
-def _float(value: str, where: str) -> float:
+def _read_text(path: Path) -> str:
     try:
-        return float(value)
-    except ValueError:
-        raise ProblemLoadError(f"{where}: not a number: {value!r}") from None
-
-
-def _read_csv(path: Path, allowed: tuple[str, ...], required: tuple[str, ...]):
-    try:
-        text = path.read_text()
-    except OSError as exc:
+        return path.read_text()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 text
         raise ProblemLoadError(f"{path}: {exc}") from None
-    reader = csv.DictReader(_io.StringIO(text))
+
+
+def _read_json(path: Path, tp: object, **defaults: object) -> object:
+    """The JSON file at `path`, read as annotation `tp` by from_jsonable;
+    an object takes `defaults` for the keys it lacks."""
+    try:
+        doc = json.loads(_read_text(path))
+        return from_jsonable(tp, {**defaults, **doc} if isinstance(doc, dict) else doc)
+    except (RecursionError, ValueError) as exc:  # also an integer too long to read
+        raise ProblemLoadError(f"{path}: {exc}") from None
+
+
+def _read_csv(path: Path, allowed: Mapping[str, type], required: Sequence[str]):
+    """(line, cells) per row of a CSV file: its non-empty cells, stripped."""
+    reader = csv.DictReader(_io.StringIO(_read_text(path)))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise ProblemLoadError(f"{path}:{reader.line_num}: {exc}") from None
     header = reader.fieldnames or []
     unknown = [c for c in header if c not in allowed]
     if unknown:
@@ -132,71 +155,78 @@ def _read_csv(path: Path, allowed: tuple[str, ...], required: tuple[str, ...]):
     missing = [c for c in required if c not in header]
     if missing:
         raise ProblemLoadError(f"{path}:1: missing required column(s) {missing}")
-    for line, row in enumerate(reader, start=2):
-        yield line, {k: (v.strip() if v is not None else "") for k, v in row.items()}
+    for line, row in rows:
+        if None in row:  # DictReader's key for the cells past the header's
+            raise ProblemLoadError(f"{path}:{line}: more cells than columns")
+        yield line, {c: v.strip() for c, v in row.items() if v and v.strip()}
 
 
-def _link_from_fields(fields: Mapping[str, str], where: str) -> Link:
-    free_flow = fields.get("free_flow_min", "")
-    length = fields.get("length_mi", "")
-    if free_flow:
-        free_flow_min = _float(free_flow, where)
-        if length:
-            warnings.warn(
-                f"{where}: both free_flow_min and length_mi given; free_flow_min wins",
-                stacklevel=2,
-            )
-    elif length:
-        free_flow_min = minutes_from_length(_float(length, where))
-    else:
-        raise ProblemLoadError(f"{where}: need free_flow_min or length_mi")
-    saturation = fields.get("max_saturation", "")
+def _record(make, fields: Mapping[str, type], values: Mapping, where: str, read=None):
+    """make(typed, where), typed holding each of `values` as its type tp in
+    `fields`: a text cell read as tp(cell), a JSON value as read(tp, value).
+    Any failure raises ProblemLoadError naming `where`."""
+    typed = {}
+    for key, value in values.items():
+        if key not in fields:
+            raise ProblemLoadError(f"{where}: unknown key {key!r}")
+        try:
+            typed[key] = read(fields[key], value) if read else fields[key](value)
+        except (OverflowError, ValueError) as exc:
+            raise ProblemLoadError(f"{where}: {key}: {exc}") from None
     try:
-        return Link(
-            id=fields["id"],
-            from_node=fields["from"],
-            to_node=fields["to"],
-            capacity_vph=_float(fields["capacity_vph"], where),
-            free_flow_min=free_flow_min,
-            max_saturation=_float(saturation, where) if saturation else 1.0,
-        )
+        return make(typed, where)
     except KeyError as exc:
         raise ProblemLoadError(f"{where}: missing field {exc}") from None
     except ValueError as exc:
         raise ProblemLoadError(f"{where}: {exc}") from None
 
 
+def _node(fields: Mapping[str, object], where: str) -> Node:
+    return Node(fields["id"], fields["kind"])
+
+
+def _shelter(fields: Mapping[str, object], where: str) -> CandidateShelter:
+    return CandidateShelter(fields["node_id"], fields["capacity_vph"])
+
+
+def _link(fields: Mapping[str, object], where: str) -> Link:
+    """The free-flow time is free_flow_min, or else length_mi at FREE_FLOW_SPEED_MPH."""
+    if "free_flow_min" in fields:
+        if "length_mi" in fields:
+            warnings.warn(f"{where}: both free_flow_min and length_mi given; free_flow_min wins")
+        free_flow_min = fields["free_flow_min"]
+    elif "length_mi" in fields:
+        free_flow_min = minutes_from_length(fields["length_mi"])
+    else:
+        raise ValueError("need free_flow_min or length_mi")
+    return Link(
+        fields["id"], fields["from"], fields["to"], fields["capacity_vph"], free_flow_min,
+        fields.get("max_saturation", 1.0),
+    )
+
+
+def _network(fields: Mapping[str, tuple], where: str) -> Network:
+    return Network(
+        [_record(_node, NODE_FIELDS, x, f"{where}: node {i}", from_jsonable)
+         for i, x in enumerate(fields["nodes"])],
+        [_record(_link, LINK_FIELDS, x, f"{where}: link {i}", from_jsonable)
+         for i, x in enumerate(fields["links"])],
+    )
+
+
 def load_network(path: str | os.PathLike) -> Network:
     """Load a network from a nodes.csv/links.csv directory or a JSON file."""
     p = Path(path)
     if p.is_dir():
-        nodes = []
-        for line, row in _read_csv(p / "nodes.csv", NODE_COLUMNS, NODE_COLUMNS):
-            try:
-                nodes.append(Node(id=row["id"], kind=row["kind"]))
-            except ValueError as exc:
-                raise ProblemLoadError(f"{p / 'nodes.csv'}:{line}: {exc}") from None
-        links = [
-            _link_from_fields(row, f"{p / 'links.csv'}:{line}")
-            for line, row in _read_csv(
-                p / "links.csv", LINK_COLUMNS, ("id", "from", "to", "capacity_vph")
-            )
-        ]
-        return Network(nodes, links)
+        nodes, links = p / "nodes.csv", p / "links.csv"
+        return Network(
+            [_record(_node, NODE_FIELDS, row, f"{nodes}:{line}")
+             for line, row in _read_csv(nodes, NODE_FIELDS, NODE_COLUMNS)],
+            [_record(_link, LINK_FIELDS, row, f"{links}:{line}")
+             for line, row in _read_csv(links, LINK_FIELDS, ("id", "from", "to", "capacity_vph"))],
+        )
     if p.suffix == ".json":
-        try:
-            doc = json.loads(p.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ProblemLoadError(f"{p}: {exc}") from None
-        try:
-            nodes = [Node(id=str(n["id"]), kind=str(n["kind"])) for n in doc["nodes"]]
-            links = [
-                _link_from_fields({k: str(v) for k, v in entry.items()}, f"{p}: link {i}")
-                for i, entry in enumerate(doc["links"])
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProblemLoadError(f"{p}: malformed network document: {exc}") from None
-        return Network(nodes, links)
+        return _record(_network, NETWORK_FIELDS, _read_json(p, dict), str(p), from_jsonable)
     raise ProblemLoadError(f"{p}: expected a directory with nodes.csv/links.csv or a .json file")
 
 
@@ -204,53 +234,23 @@ def load_shelters(path: str | os.PathLike) -> ShelterSet:
     p = Path(path)
     candidates = []
     first_line: dict[str, int] = {}
-    for line, row in _read_csv(p, SHELTER_COLUMNS, SHELTER_COLUMNS):
-        first = first_line.setdefault(row["node_id"], line)
+    for line, row in _read_csv(p, SHELTER_FIELDS, SHELTER_COLUMNS):
+        shelter = _record(_shelter, SHELTER_FIELDS, row, f"{p}:{line}")
+        first = first_line.setdefault(shelter.node_id, line)
         if first != line:
             raise ProblemLoadError(
-                f"{p}:{line}: shelter candidate {row['node_id']!r} already listed on line {first}"
+                f"{p}:{line}: shelter candidate {shelter.node_id!r} already listed on line {first}"
             )
-        try:
-            candidates.append(
-                CandidateShelter(
-                    node_id=row["node_id"],
-                    capacity_vph=_float(row["capacity_vph"], f"{p}:{line}"),
-                )
-            )
-        except ValueError as exc:
-            raise ProblemLoadError(f"{p}:{line}: {exc}") from None
+        candidates.append(shelter)
     if not candidates:
         raise ProblemLoadError(f"{p}: no shelter candidates")
     return ShelterSet(candidates=tuple(candidates))
 
 
 def load_scenario(path: str | os.PathLike) -> DemandScenario:
+    """A scenario JSON file; its name defaults to the file's stem."""
     p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long to read
-        raise ProblemLoadError(f"{p}: {exc}") from None
-    if not isinstance(doc, dict) or "productions" not in doc:
-        raise ProblemLoadError(f"{p}: scenario document needs a 'productions' object")
-    name = str(doc.get("name", p.stem))
-    raw = doc["productions"]
-    if not isinstance(raw, dict):
-        raise ProblemLoadError(f"{p}: 'productions' must map origin ids to vehicle counts")
-    productions: dict[str, float] = {}
-    for origin, value in raw.items():
-        # JSON numbers read as int or float; true reads as bool, no vehicle count
-        if type(value) not in (int, float):
-            raise ProblemLoadError(
-                f"{p}: production for origin {origin!r} must be a JSON number, got {value!r}"
-            )
-        try:
-            productions[origin] = float(value)
-        except OverflowError:  # an integer beyond float range; DemandScenario rejects inf
-            productions[origin] = math.inf
-    try:
-        return DemandScenario(name=name, productions=productions)
-    except ValueError as exc:
-        raise ProblemLoadError(f"{p}: {exc}") from None
+    return _read_json(p, DemandScenario, name=p.stem)
 
 
 _CONFIG_SECTIONS = {
@@ -277,9 +277,7 @@ def parse_config_text(text: str, where: str = "<config>") -> dict[str, object]:
             continue
         if "=" not in line:
             raise ProblemLoadError(f"{where}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_SCHEMA:
             raise ProblemLoadError(f"{where}:{lineno}: unknown config key {key!r}")
         first = first_line.setdefault(key, lineno)
@@ -287,12 +285,12 @@ def parse_config_text(text: str, where: str = "<config>") -> dict[str, object]:
             raise ProblemLoadError(
                 f"{where}:{lineno}: config key {key!r} already set on line {first}"
             )
-        caster = _CONFIG_SCHEMA[key]
+        tp = _CONFIG_SCHEMA[key]
         try:
-            values[key] = caster(value) if caster is not str else value
+            values[key] = tp(value)
         except ValueError:
             raise ProblemLoadError(
-                f"{where}:{lineno}: bad value {value!r} for {key!r} ({caster.__name__})"
+                f"{where}:{lineno}: bad value {value!r} for {key!r} ({tp.__name__})"
             ) from None
     return values
 
@@ -316,11 +314,7 @@ def load_config(
     if path is None:
         return _configs_from_values({})
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ProblemLoadError(f"{p}: {exc}") from None
-    return _configs_from_values(parse_config_text(text, str(p)), str(p))
+    return _configs_from_values(parse_config_text(_read_text(p), str(p)), str(p))
 
 
 def load_problem(
@@ -435,57 +429,62 @@ _JSON_KINDS = {
 }
 
 
-# per result type: keys it no longer has that files written before may
-# hold; a read skips them
-_RETIRED_KEYS = {SolveReport: ("assignment_diagnostics",)}
+# per result type, by name: keys it no longer has that files written
+# before may hold; a read skips them
+_RETIRED_KEYS = {
+    "SolveReport": ("assignment_diagnostics",),
+    "ScenarioResultRow": ("total_time_veh_h",),
+}
+
+
+def _checked(kind: type, doc: object, what: str = "") -> object:
+    """`doc` if its JSON type is `kind`'s, else a ValueError naming `what`."""
+    accepted, name = _JSON_KINDS[kind]
+    if isinstance(doc, bool) != (kind is bool) or not isinstance(doc, accepted):
+        raise ValueError(f"expected {what or name}, got {reprlib.repr(doc)}")
+    return float(doc) if kind is float else doc
+
+
+def _item(tp: object, doc: object, owner: Optional[str], key: str) -> object:
+    """from_jsonable(tp, doc) at `key` of record type `owner` (None: a dict)."""
+    try:
+        return from_jsonable(tp, doc)
+    except (OverflowError, ValueError) as exc:  # OverflowError: float() of a huge integer
+        where = f"{owner}.{key}" if owner else f"[{key!r}]"
+        message = str(exc)  # the error at a dict key, "[...]", joins `where` directly
+        raise ValueError(where + ("" if message.startswith("[") else ": ") + message) from None
 
 
 def from_jsonable(tp: object, doc: object) -> object:
     """Rebuild a value of annotation `tp` (a result dataclass, say) from
     the output of to_jsonable; the module docstring lists the strict read
     rule."""
+    if tp in _JSON_KINDS:  # a scalar, the most common value: skip the typing dispatch
+        return _checked(tp, doc)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         return None if doc is None else from_jsonable(_optional_inner(tp), doc)
-    record = dataclasses.is_dataclass(tp)
-    if record or origin is dict:
-        kind = dict
-    elif origin is tuple:
-        kind = str if args[0] is int else list  # a selection is a 0/1 string
-    else:
-        kind = tp
-    accepted, name = _JSON_KINDS[kind]
-    if isinstance(doc, bool) != (kind is bool) or not isinstance(doc, accepted):
-        what = f"a {tp.__name__} object" if record else name
-        raise ValueError(f"expected {what}, got {reprlib.repr(doc)}")
-    if record:
-        fields = _json_fields(tp)
-        known = {name for name, _ in fields}.union(_RETIRED_KEYS.get(tp, ()))
-        unknown = [key for key in doc if key not in known]
-        if unknown:
-            raise ValueError(f"{tp.__name__}: unknown key {reprlib.repr(min(unknown))}")
-        values = {}
-        for name, hint in fields:
-            if name in doc:
-                try:
-                    values[name] = from_jsonable(hint, doc[name])
-                except (OverflowError, ValueError) as exc:  # float() of a huge integer
-                    raise ValueError(f"{tp.__name__}.{name}: {exc}") from None
-        try:
-            return tp(**values)
-        except TypeError as exc:  # a key whose field has no default is missing
-            raise ValueError(f"{tp.__name__}: {exc}") from None
     if origin is tuple:
-        return selection_from_string(doc) if kind is str else tuple(
-            from_jsonable(args[0], item) for item in doc
-        )
+        if args[0] is int:  # a selection is a 0/1 string
+            return selection_from_string(_checked(str, doc))
+        return tuple(from_jsonable(args[0], item) for item in _checked(list, doc))
     if origin is dict:
         key, item = args
         if typing.get_origin(key) is tuple:
             nested = from_jsonable(dict[str, dict[str, item]], doc)
             return {(outer, k): v for outer, row in nested.items() for k, v in row.items()}
-        return {k: from_jsonable(item, v) for k, v in doc.items()}
-    return float(doc) if tp is float else doc
+        return {k: _item(item, v, None, k) for k, v in _checked(dict, doc).items()}
+    _checked(dict, doc, f"a {tp.__name__} object")
+    fields = _json_fields(tp)
+    known = {name for name, _ in fields}.union(_RETIRED_KEYS.get(tp.__name__, ()))
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"{tp.__name__}: unknown key {reprlib.repr(min(unknown))}")
+    values = {n: _item(hint, doc[n], tp.__name__, n) for n, hint in fields if n in doc}
+    try:
+        return tp(**values)
+    except TypeError as exc:  # a key whose field has no default is missing
+        raise ValueError(f"{tp.__name__}: {exc}") from None
 
 
 # per-type names, for callers that import them
@@ -558,16 +557,19 @@ def from_csv(tp: type, text: str, **extra: list) -> list:
     if not table:
         raise ValueError(f"{tp.__name__} CSV has no header")
     header, body = table[0], table[1:]
-    own = header[: len(header) - len(extra)]
+    kept = [column not in _RETIRED_KEYS.get(tp.__name__, ()) for column in header]
+    columns = [column for column, keep in zip(header, kept) if keep]
+    own = columns[: len(columns) - len(extra)]
     hints = dict(_json_fields(tp))
     spread = _spread_field(tp)
     keys = [column for column in own if column not in hints]  # the spread field's
-    if header != [c for c in _csv_header(tp, keys) if c in own] + list(extra):
+    if columns != [c for c in _csv_header(tp, keys) if c in own] + list(extra):
         raise ValueError(f"unrecognized {tp.__name__} CSV header: {header}")
     rows = []
     for record in body:
         if len(record) != len(header):
             raise ValueError(f"{tp.__name__} CSV row has {len(record)} cells, header {len(header)}")
+        record = [cell for cell, keep in zip(record, kept) if keep]
         doc: dict[str, object] = {} if spread is None else {spread: {}}
         for column, cell in zip(own, record):
             if column in hints:

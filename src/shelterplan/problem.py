@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ class DemandScenario:
     """Trip productions per origin node; total_vehicles is always the exact sum."""
 
     name: str
-    productions: Mapping[str, float]
-    total_vehicles: float = field(init=False)
+    productions: dict[str, float]
+    total_vehicles: float = field(init=False, metadata={"json": False})
 
     def __post_init__(self) -> None:
         for origin, value in self.productions.items():

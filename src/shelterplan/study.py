@@ -2,8 +2,8 @@
 
 One independent bi-level solve per demand scenario, summarized in rows
 that mirror the classic results table: per-shelter attraction rates, the
-total travel time (vehicle-minutes and vehicle-hours), and a clearance
-time estimate. The clearance figure is model-defined (see clearance_time)
+total travel time in vehicle-minutes (the table adds vehicle-hours), and a
+clearance time estimate. The clearance figure is model-defined (see clearance_time)
 and flagged as an estimate in all renderings.
 """
 
@@ -78,7 +78,6 @@ class ScenarioResultRow:
     scenario: str
     attraction: dict[str, float]
     total_time_veh_min: float
-    total_time_veh_h: float
     clearance_min: float
     selection: tuple[int, ...]
     feasible: bool = True
@@ -102,7 +101,6 @@ def _error_row(scenario: DemandScenario, shelters: ShelterSet, error: str) -> Sc
         scenario=scenario.name,
         attraction={sid: 0.0 for sid in order},
         total_time_veh_min=0.0,
-        total_time_veh_h=0.0,
         clearance_min=0.0,
         selection=(0,) * len(order),
         feasible=False,
@@ -130,12 +128,10 @@ def _row_from_report(
         shelters.with_selection(report.best_selection),
         scenario,
     )
-    total_min = report.best_total_evacuation_time
     return ScenarioResultRow(
         scenario=scenario.name,
         attraction={sid: report.shelter_attraction.get(sid, 0.0) for sid in order},
-        total_time_veh_min=total_min,
-        total_time_veh_h=total_min / 60.0,
+        total_time_veh_min=report.best_total_evacuation_time,
         clearance_min=clearance,
         selection=tuple(by_id[sid] for sid in order),
         feasible=report.feasible,
@@ -230,7 +226,7 @@ def render_report(rows: Sequence[ScenarioResultRow], format: str = "table") -> s
                 row.scenario,
                 *[_fmt_quantity(row.attraction[sid]) for sid in shelter_ids],
                 f"{row.total_time_veh_min:.1f}",
-                f"{row.total_time_veh_h:.2f}",
+                f"{row.total_time_veh_min / 60.0:.2f}",
                 _fmt_quantity(row.clearance_min),
                 selection_to_string(row.selection),
             ]

@@ -77,8 +77,24 @@ def test_a_production_too_large_for_a_float_exits_1(tmp_path, capsys):
     args = toy_args()
     args[args.index("--scenario") + 1] = str(scenario)
     assert main(["assign", *args]) == 1
-    message = "scenario 'x': production for origin 'o' must be finite and >= 0"
+    message = "DemandScenario.productions['o']: int too large to convert to float"
     assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
+
+
+@pytest.mark.parametrize("capacity, message", [
+    ('"1000"', "link 0: capacity_vph: expected a number, got '1000'"),
+    ("1" + "0" * 4399, "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["string", "4400-digit-integer"])
+def test_a_network_json_capacity_that_is_not_a_json_number_exits_1(tmp_path, capsys, capacity, message):
+    network = tmp_path / "net.json"
+    network.write_text(
+        '{"nodes": [{"id": "o", "kind": "origin"}, {"id": "s", "kind": "shelter-candidate"}],'
+        ' "links": [{"id": "L", "from": "o", "to": "s", "capacity_vph": %s,'
+        ' "free_flow_min": 2.0}]}' % capacity
+    )
+    assert main(["validate", "--network", str(network)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {network}: ") and message in err
 
 
 def test_assign_writes_reloadable_result(tmp_path):
@@ -229,8 +245,7 @@ def test_solve_with_a_fixed_ga_parameter_in_the_config_exits_1(tmp_path, capsys,
 
 GOOD_ROW = {
     "scenario": "night", "attraction": {"s1": 600.0, "s2": 0.0}, "total_time_veh_min": 60.0,
-    "total_time_veh_h": 1.0, "clearance_min": 10.0, "selection": "10", "feasible": True,
-    "error": None,
+    "clearance_min": 10.0, "selection": "10", "feasible": True, "error": None,
 }
 
 
@@ -258,6 +273,47 @@ def test_report_on_a_bad_rows_file_exits_2_without_a_traceback(tmp_path, name, c
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith(f"error: {path}: ") and done.stderr.count("\n") == 1
     assert message in done.stderr
+
+
+# `run --seed 7` rows of toy_two_origins as written while the rows still held
+# total_time_veh_h, with that value edited by hand to disagree with veh-min
+OLD_ROWS = {
+    "rows.json": """\
+[
+  {
+    "attraction": {
+      "s1": 577.771917207217,
+      "s2": 922.2280827927829
+    },
+    "clearance_min": 65.0,
+    "error": null,
+    "feasible": true,
+    "scenario": "base",
+    "selection": "11",
+    "total_time_veh_h": 1.0,
+    "total_time_veh_min": 5520.778937830722
+  }
+]
+""",
+    "rows.csv": """\
+scenario,s1,s2,total_time_veh_min,total_time_veh_h,clearance_min,selection,feasible,error
+base,577.771917207217,922.2280827927829,5520.778937830722,1.0,65.0,11,True,
+""",
+}
+OLD_ROWS_TABLE = """\
+scenario           s1           s2  total time (veh-min)  total time (veh-h)  clearance est. (min)  selection
+--------  -----------  -----------  --------------------  ------------------  --------------------  ---------
+    base  577.7719172  922.2280828                5520.8               92.01                    65         11
+(attraction rates in vph; clearance time is a model-defined estimate)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(OLD_ROWS))
+def test_report_reads_rows_written_with_total_time_veh_h(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(OLD_ROWS[name])
+    assert main(["report", str(path)]) == 0
+    assert capsys.readouterr().out == OLD_ROWS_TABLE  # veh-h from veh-min, not the stored 1.0
 
 
 def test_importing_the_package_leaves_scipy_unloaded():

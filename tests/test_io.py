@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +130,59 @@ def test_parallel_links_load_fine(tmp_path):
     assert len(net.links) == 2
 
 
+def test_a_line_number_counts_blank_lines(tmp_path):
+    path = tmp_path / "shelters.csv"
+    path.write_text("node_id,capacity_vph\n\ns1,1000\n\ns2,x\n")
+    with pytest.raises(ProblemLoadError, match=r"shelters\.csv:5: capacity_vph: could not convert"):
+        load_shelters(path)
+
+
+@pytest.mark.parametrize("load, name", [
+    (load_network, "net.json"), (load_shelters, "shelters.csv"),
+    (load_scenario, "scenario.json"), (load_config, "config.txt"),
+])
+def test_a_file_that_is_not_utf8_is_a_load_error(tmp_path, load, name):
+    path = tmp_path / name
+    path.write_bytes(b"node_id,capacity_vph\ns1,1000\xff\n")
+    with pytest.raises(ProblemLoadError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode")
+
+
+def test_a_row_with_more_cells_than_columns_names_its_line(tmp_path):
+    links = "id,from,to,capacity_vph,free_flow_min\nL,o,s,1000,2.0,9\n"
+    with pytest.raises(ProblemLoadError, match=r"links\.csv:2: more cells than columns"):
+        load_network(write_network_dir(tmp_path, BASIC_NODES, links))
+
+
+NETWORK_DOC = {
+    "nodes": [{"id": "o", "kind": "origin"}, {"id": "s", "kind": "shelter-candidate"}],
+    "links": [{"id": "L", "from": "o", "to": "s", "capacity_vph": 1000, "free_flow_min": 2.0}],
+}
+LINK_DOC = NETWORK_DOC["links"][0]
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("links", 0, "capacity_vph"), True, "link 0: capacity_vph: expected a number, got True"),
+    (("links", 0, "capacity_vph"), 10**400, "link 0: capacity_vph: int too large to convert"),
+    (("nodes", 1, "id"), 7, "node 1: id: expected a string, got 7"),
+    (("links", 0), dict(LINK_DOC, speed=30), "link 0: unknown key 'speed'"),
+    (("links", 0), {k: v for k, v in LINK_DOC.items() if k != "capacity_vph"},
+     "link 0: missing field 'capacity_vph'"),
+    (("links", 0), ["L"], ": links: expected an object, got ['L']"),
+    ((), dict(NETWORK_DOC, edges=[]), ": unknown key 'edges'"),
+    ((), {"links": []}, ": missing field 'nodes'"),
+    ((), [], ": expected an object, got []"),
+], ids=["bool", "401-digit-integer", "numeric-id", "unknown-link-key", "missing-link-key",
+        "link-list", "unknown-key", "missing-key", "list"])
+def test_a_network_json_value_of_the_wrong_type_or_key_is_a_load_error(tmp_path, path, value, message):
+    network = tmp_path / "net.json"
+    network.write_text(json.dumps(replaced(NETWORK_DOC, path, value)))
+    with pytest.raises(ProblemLoadError) as info:
+        load_network(network)
+    assert str(info.value).startswith(f"{network}: ") and message in str(info.value)
+
+
 # ---- shelters / scenarios --------------------------------------------------
 
 
@@ -171,9 +225,10 @@ def test_negative_production_names_the_origin(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ('{"o": true}', "production for origin 'o' must be a JSON number, got True"),
-    ('{"o": "1000"}', "production for origin 'o' must be a JSON number, got '1000'"),
-    ('{"o": 1%s}' % ("0" * 400), "production for origin 'o' must be finite and >= 0"),
+    ('{"o": true}', "DemandScenario.productions['o']: expected a number, got True"),
+    ('{"o": "1000"}', "DemandScenario.productions['o']: expected a number, got '1000'"),
+    ('{"o": 1%s}' % ("0" * 400),
+     "DemandScenario.productions['o']: int too large to convert to float"),
     ('{"o": Infinity}', "production for origin 'o' must be finite and >= 0"),
     ('{"o": 1e400}', "production for origin 'o' must be finite and >= 0"),
     ('{"o": NaN}', "production for origin 'o' must be finite and >= 0"),
@@ -475,11 +530,14 @@ def test_from_jsonable_returns_a_record_or_raises_value_error(value, paths):
     (ScenarioResultRow, ("attraction",), [], r"ScenarioResultRow\.attraction: expected an object"),
     (ScenarioResultRow, ("scenario",), None, r"ScenarioResultRow\.scenario: expected a string"),
     (AssignmentResult, ("iterations",), 2.0, r"AssignmentResult\.iterations: expected an integer"),
-    (AssignmentResult, ("od_flows", "o"), 1.0, r"AssignmentResult\.od_flows: expected an object"),
+    (AssignmentResult, ("od_flows", "o"), 1.0,
+     r"AssignmentResult\.od_flows\['o'\]: expected an object"),
     (EnumerationReport, ("evaluations",), {}, r"EnumerationReport\.evaluations: expected a list"),
     (EnumerationReport, ("best",), False, r"EnumerationReport\.best: expected an integer"),
     (SolveReport, ("history", 0, "generation"), 2.5,
      r"SolveReport\.history: GenerationStats\.generation: expected an integer, got 2\.5"),
+    (ScenarioResultRow, ("attraction", "s1"), True,
+     r"ScenarioResultRow\.attraction\['s1'\]: expected a number, got True"),
 ])
 def test_a_value_of_the_wrong_json_type_names_the_field(tp, path, value, message):
     with pytest.raises(ValueError, match=message):
@@ -510,3 +568,87 @@ def test_fields_kept_in_memory_only_are_unknown_keys_on_read():
 def test_solve_report_written_with_assignment_diagnostics_still_loads():
     doc = dict(VALID_DOCS[SolveReport], assignment_diagnostics={"converged": True, "iterations": 2})
     assert from_jsonable(SolveReport, doc) == from_jsonable(SolveReport, VALID_DOCS[SolveReport])
+
+
+# ---- malformed input files -------------------------------------------------
+
+CELLS = st.sampled_from([
+    "", " ", "o", "s", "x", "origin", "shelter-candidate", "0", "-1", "2.0", "1e400", "nan",
+    "inf", "True", '"', '"a,b"', ",", "=", "#", "\n", "ga.rng_seed", "1" * 5000,
+]) | st.text(max_size=4)
+
+
+@st.composite
+def mutated_lines(draw, text, sep):
+    """`text` with one to three of its `sep`-separated cells replaced,
+    dropped or added."""
+    rows = [line.split(sep) for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        at = draw(st.integers(0, len(row)))
+        edit = draw(st.sampled_from(["replace", "drop", "add"]))
+        if edit == "add" or at == len(row):
+            row.insert(at, draw(CELLS))
+        elif edit == "drop":
+            del row[at]
+        else:
+            row[at] = draw(CELLS)
+    return "\n".join(sep.join(row) for row in rows) + "\n"
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """JSON text of `doc` with one of its values replaced by any JSON value."""
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    return json.dumps(replaced(doc, path, draw(JSON_VALUES)))
+
+
+def csv_texts(valid):
+    return mutated_lines(valid, ",") | st.text(max_size=40)
+
+
+def json_texts(valid):
+    return mutated_json(valid) | st.text(max_size=40)
+
+
+FUZZ_LINKS = (
+    "id,from,to,capacity_vph,free_flow_min,length_mi,max_saturation\n"
+    "L,o,s,1000,2.0,,1.0\nM,s,o,800,,0.5,\n"
+)
+FUZZ_SHELTERS = "node_id,capacity_vph\ns,1000\no,500\n"
+FUZZ_SCENARIO = {"name": "x", "productions": {"o": 10, "p": 2.5}}
+FUZZ_CONFIG = (SANROCCO / "config.txt").read_text()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def loads_or_raises_a_load_error(load, path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # free_flow_min wins over length_mi
+        try:
+            load(path)
+        except ProblemLoadError:
+            pass
+
+
+@given(nodes=csv_texts(BASIC_NODES), links=csv_texts(FUZZ_LINKS))
+def test_a_malformed_network_directory_is_a_load_error(fuzz_dir, nodes, links):
+    (fuzz_dir / "nodes.csv").write_text(nodes)
+    (fuzz_dir / "links.csv").write_text(links)
+    loads_or_raises_a_load_error(load_network, fuzz_dir)
+
+
+@pytest.mark.parametrize("load, name, texts", [
+    (load_network, "network.json", json_texts(NETWORK_DOC)),
+    (load_shelters, "shelters.csv", csv_texts(FUZZ_SHELTERS)),
+    (load_scenario, "scenario.json", json_texts(FUZZ_SCENARIO)),
+    (load_config, "config.txt", mutated_lines(FUZZ_CONFIG, "=") | st.text(max_size=40)),
+], ids=["network-json", "shelters", "scenario", "config"])
+@given(data=st.data())
+def test_a_malformed_input_file_is_a_load_error(fuzz_dir, load, name, texts, data):
+    path = fuzz_dir / name
+    path.write_text(data.draw(texts))
+    loads_or_raises_a_load_error(load, path)

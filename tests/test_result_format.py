@@ -234,9 +234,9 @@ selection,penalized_objective,feasible,total_evacuation_time,is_best
 """
 
 ROWS = [
-    ScenarioResultRow("night", {"s2": 400.5, "s1": 600.0}, 5750.0, 5750.0 / 60.0, 85.0, (1, 1)),
+    ScenarioResultRow("night", {"s2": 400.5, "s1": 600.0}, 5750.0, 85.0, (1, 1)),
     ScenarioResultRow(
-        "broken", {"s1": 0.0, "s2": 0.0}, 0.0, 0.0, 0.0, (0, 0), False, "ValueError: boom"
+        "broken", {"s1": 0.0, "s2": 0.0}, 0.0, 0.0, (0, 0), False, "ValueError: boom"
     ),
 ]
 
@@ -252,7 +252,6 @@ ROWS_JSON = """\
     "feasible": true,
     "scenario": "night",
     "selection": "11",
-    "total_time_veh_h": 95.83333333333333,
     "total_time_veh_min": 5750.0
   },
   {
@@ -265,16 +264,15 @@ ROWS_JSON = """\
     "feasible": false,
     "scenario": "broken",
     "selection": "00",
-    "total_time_veh_h": 0.0,
     "total_time_veh_min": 0.0
   }
 ]
 """
 
 ROWS_CSV = """\
-scenario,s1,s2,total_time_veh_min,total_time_veh_h,clearance_min,selection,feasible,error
-night,600.0,400.5,5750.0,95.83333333333333,85.0,11,True,
-broken,0.0,0.0,0.0,0.0,0.0,00,False,ValueError: boom
+scenario,s1,s2,total_time_veh_min,clearance_min,selection,feasible,error
+night,600.0,400.5,5750.0,85.0,11,True,
+broken,0.0,0.0,0.0,0.0,00,False,ValueError: boom
 """
 
 

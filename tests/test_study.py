@@ -45,7 +45,6 @@ def fixture_rows():
                 scenario=name,
                 attraction={sid: float(r) for sid, r in zip(SHELTER_IDS, rates)},
                 total_time_veh_min=float(total_min),
-                total_time_veh_h=total_min / 60.0,
                 clearance_min=float(clearance),
                 selection=selection,
             )
@@ -134,7 +133,6 @@ def test_unselected_shelter_with_attraction_is_rejected():
             scenario="x",
             attraction={"s1": 5.0, "s2": 0.0},
             total_time_veh_min=1.0,
-            total_time_veh_h=1.0 / 60,
             clearance_min=5.0,
             selection=(0, 1),
         )
@@ -146,7 +144,6 @@ def test_selection_length_must_match_shelters():
             scenario="x",
             attraction={"s1": 5.0},
             total_time_veh_min=1.0,
-            total_time_veh_h=1.0 / 60,
             clearance_min=5.0,
             selection=(1, 1),
         )
@@ -174,7 +171,6 @@ def test_csv_round_trip_is_lossless():
     assert back == rows
     for row, original in zip(back, rows):
         assert row.total_time_veh_min == original.total_time_veh_min
-        assert row.total_time_veh_h == original.total_time_veh_h
         assert row.clearance_min == original.clearance_min
         assert row.attraction == original.attraction
 
@@ -225,7 +221,6 @@ def test_error_rows_render_the_error():
         scenario="broken",
         attraction={"s1": 0.0},
         total_time_veh_min=0.0,
-        total_time_veh_h=0.0,
         clearance_min=0.0,
         selection=(0,),
         feasible=False,
@@ -246,8 +241,7 @@ def test_render_rejects_bad_input():
             scenario="other",
             attraction={"x1": 0.0},
             total_time_veh_min=0.0,
-            total_time_veh_h=0.0,
-            clearance_min=0.0,
+                clearance_min=0.0,
             selection=(1,),
         )
     ]
